@@ -11,7 +11,8 @@
 
    The report experiment also writes BENCH_pr2.json, the streaming
    experiment BENCH_pr3.json, the sharding experiment BENCH_pr9.json
-   (frames-vs-per-event transport curve) and the serve soak
+   (shard-count and frame size curve against the plain detector) and
+   the serve soak
    BENCH_pr6.json (all pmdb-bench/v1: per-bench
    slowdowns + dispatch-latency quantiles + a telemetry snapshot);
    validate them with `pmdb stats --check BENCH_prN.json`. *)
@@ -953,10 +954,9 @@ let streaming () =
 
 (* ------------------------------------------------------------------ *)
 (* Sharded detection: replay the streaming trace through the            *)
-(* domain-parallel Shard_router over both transports — the frame-       *)
-(* batched default at 1/2/4/8 shards plus a frame-size sweep, and the   *)
-(* per-event baseline at 1/2/4 — and check every merged report against  *)
-(* the plain single-detector run. Writes BENCH_pr9.json.                *)
+(* domain-parallel Shard_router at 1/2/4/8 shards plus a frame size     *)
+(* sweep, time every row against the plain single-detector run, and     *)
+(* check every merged report against it. Writes BENCH_pr9.json.         *)
 (* ------------------------------------------------------------------ *)
 
 let sharding () =
@@ -986,15 +986,14 @@ let sharding () =
     (report, Unix.gettimeofday () -. t0, hist)
   in
   let plain_report, plain_s, plain_hist = run_once (fun () -> mk_pmdebugger Pmdebugger.Detector.Strict ()) in
-  (* The curve: the framed transport (default frame size) against the
-     per-event baseline at matching shard counts, plus a frame-size
-     sweep at 4 shards to show where the amortization saturates. Labels
-     carry transport + shard count so rows are self-describing. *)
+  (* The curve: the default frame size at each shard count, plus a
+     frame size sweep at 4 shards to show where the amortization
+     saturates. Labels carry shard count and frame size so rows are
+     self-describing. *)
   let fs_default = Shard_router.default_frame_size in
   let configs =
     List.concat
       [
-        List.map (fun n -> (Printf.sprintf "per-event-shards-%d" n, n, 0)) [ 1; 2; 4 ];
         List.map (fun n -> (Printf.sprintf "frames-shards-%d" n, n, fs_default)) [ 1; 2; 4; 8 ];
         List.map (fun fs -> (Printf.sprintf "frames-fs-%d-shards-4" fs, 4, fs)) [ 16; 4096 ];
       ]
@@ -1016,14 +1015,10 @@ let sharding () =
     | Some (_, _, dt, _, _) -> dt
     | None -> infinity
   in
-  (* Each transport's speedup is measured against its own 1-shard run:
-     that isolates scaling from constant transport overhead. Per-event
-     reproduced 0.63x at 4 shards in BENCH_pr5 — the regression frames
-     exist to fix. *)
-  let frames_1 = time_of "frames-shards-1" in
-  let per_event_1 = time_of "per-event-shards-1" in
-  let speedup_frames_4 = frames_1 /. time_of "frames-shards-4" in
-  let speedup_per_event_4 = per_event_1 /. time_of "per-event-shards-4" in
+  (* Every speedup is measured against the plain single detector: a
+     sharded run earns its keep only by beating it, not a 1-shard run
+     of itself. *)
+  let speedup_4 = plain_s /. time_of "frames-shards-4" in
   let host_cores = Domain.recommended_domain_count () in
   let p hist frac = Obs.Metrics.quantile (Obs.Metrics.hist_view hist) frac in
   let eps t = float_of_int events /. t in
@@ -1040,19 +1035,13 @@ let sharding () =
   T.print
     ~title:
       (Printf.sprintf "Sharded detection: %d events, %d host core(s) (quick=%b)" events host_cores q)
-    ~header:[ "config"; "replay"; "events/s"; "p50 disp."; "p95 disp."; "vs same 1-shard" ]
+    ~header:[ "config"; "replay"; "events/s"; "p50 disp."; "p95 disp."; "vs plain" ]
     (row_print "plain" plain_s plain_hist None
-    :: List.map
-         (fun (name, _, dt, hist, _) ->
-           let base = if String.length name >= 6 && String.sub name 0 6 = "frames" then frames_1 else per_event_1 in
-           row_print name dt hist (Some (base /. dt)))
-         sharded);
-  Printf.printf
-    "  reports match: %b (%d finding(s)); 4-shard speedup: frames %.2fx, per-event %.2fx (each over its own \
-     1-shard run) on %d core(s)\n"
+    :: List.map (fun (name, _, dt, hist, _) -> row_print name dt hist (Some (plain_s /. dt))) sharded);
+  Printf.printf "  reports match: %b (%d finding(s)); 4-shard speedup over plain: %.2fx on %d core(s)\n"
     reports_match
     (List.length plain_report.Bug.bugs)
-    speedup_frames_4 speedup_per_event_4 host_cores;
+    speedup_4 host_cores;
   if host_cores < 4 then
     Printf.printf
       "  note: fewer than 4 cores — the curve measures correctness and overhead, not parallel speedup\n";
@@ -1068,14 +1057,7 @@ let sharding () =
           match (s.Obs.Metrics.value, acc) with
           | Obs.Metrics.V_hist h, None when s.Obs.Metrics.name = name -> Some h
           | Obs.Metrics.V_hist h, Some t when s.Obs.Metrics.name = name && h.Obs.Metrics.h_bounds = t.Obs.Metrics.h_bounds ->
-              Array.iteri (fun i c -> t.Obs.Metrics.h_counts.(i) <- t.Obs.Metrics.h_counts.(i) + c) h.Obs.Metrics.h_counts;
-              Some
-                {
-                  t with
-                  Obs.Metrics.h_sum = t.Obs.Metrics.h_sum +. h.Obs.Metrics.h_sum;
-                  h_count = t.Obs.Metrics.h_count + h.Obs.Metrics.h_count;
-                  h_max = Float.max t.Obs.Metrics.h_max h.Obs.Metrics.h_max;
-                }
+              Some (Obs.Metrics.merge_views t h)
           | _ -> acc)
         None (Obs.Metrics.snapshot reg)
     in
@@ -1094,7 +1076,7 @@ let sharding () =
           Obj
             [
               ("replay_vs_generate", Float (total_s /. gen_s));
-              ("vs_frames_single_shard", Float (total_s /. frames_1));
+              ("vs_plain", Float (total_s /. plain_s));
             ] );
         ("dispatch_p50_s", Float (p hist 0.5));
         ("dispatch_p95_s", Float (p hist 0.95));
@@ -1122,8 +1104,7 @@ let sharding () =
         ("host_cores", Int host_cores);
         ("frame_size", Int fs_default);
         ("reports_match", Bool reports_match);
-        ("speedup_frames_4_over_1", Float speedup_frames_4);
-        ("speedup_per_event_4_over_1", Float speedup_per_event_4);
+        ("speedup_4_over_plain", Float speedup_4);
         ( "rows",
           List
             (row "replay-plain" plain_s plain_hist
@@ -1149,10 +1130,9 @@ let sharding () =
   (* The >=2x scaling target is only meaningful where 4 worker domains
      can actually run in parallel; on smaller hosts the JSON still
      records the measured curve. *)
-  if host_cores > 1 && speedup_frames_4 < 1.0 then
-    Printf.eprintf
-      "sharding: WARNING — framed 4-shard run slower than framed 1-shard (%.2fx) on %d cores\n" speedup_frames_4
-      host_cores
+  if host_cores > 1 && speedup_4 < 1.0 then
+    Printf.eprintf "sharding: WARNING — 4-shard run slower than the plain detector (%.2fx) on %d cores\n"
+      speedup_4 host_cores
 
 (* ------------------------------------------------------------------ *)
 (* pmdb serve soak: N concurrent clients streaming the same synthetic  *)

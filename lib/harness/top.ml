@@ -29,16 +29,9 @@ let hist_total snap name =
   List.fold_left
     (fun acc (_, v) ->
       match (v, acc) with
-      | Obs.Metrics.V_hist h, None -> Some { h with Obs.Metrics.h_counts = Array.copy h.Obs.Metrics.h_counts }
+      | Obs.Metrics.V_hist h, None -> Some h
       | Obs.Metrics.V_hist h, Some t when h.Obs.Metrics.h_bounds = t.Obs.Metrics.h_bounds ->
-          Array.iteri (fun i c -> t.Obs.Metrics.h_counts.(i) <- t.Obs.Metrics.h_counts.(i) + c) h.Obs.Metrics.h_counts;
-          Some
-            {
-              t with
-              Obs.Metrics.h_sum = t.Obs.Metrics.h_sum +. h.Obs.Metrics.h_sum;
-              h_count = t.Obs.Metrics.h_count + h.Obs.Metrics.h_count;
-              h_max = Float.max t.Obs.Metrics.h_max h.Obs.Metrics.h_max;
-            }
+          Some (Obs.Metrics.merge_views t h)
       | _ -> acc)
     None (series snap name)
 

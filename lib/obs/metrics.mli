@@ -80,6 +80,7 @@ type hist_view = {
   h_counts : int array;  (** length [Array.length h_bounds + 1]; last is overflow *)
   h_sum : float;
   h_count : int;
+  h_min : float;  (** smallest observation (0.0 when empty) *)
   h_max : float;  (** largest observation (0.0 when empty) *)
 }
 
@@ -90,7 +91,14 @@ val quantile : hist_view -> float -> float
 (** [quantile v q] for [q] in [0,1], linearly interpolated inside the
     winning bucket — including the overflow bucket, whose upper edge is
     the observed max ([h_max]), so a p99 past the last bound no longer
-    snaps to the bound verbatim. [0.0] on an empty histogram. *)
+    snaps to the bound verbatim. The result is clamped to
+    [[h_min, h_max]]: it never leaves the observed range, and it is
+    monotone in [q]. [0.0] on an empty histogram. *)
+
+val merge_views : hist_view -> hist_view -> hist_view
+(** Bucket-wise sum: counts and sums add, [h_min]/[h_max] take the
+    extremes of the non-empty sides. Raises [Invalid_argument] when the
+    bucket bounds differ. *)
 
 (** {1 Snapshots} *)
 

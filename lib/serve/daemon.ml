@@ -3,7 +3,6 @@ open Pmtrace
 type config = {
   socket_path : string;
   workers : int;
-  queue_capacity : int;
   session_budget : int;
   idle_timeout : float;
   max_sessions : int;
@@ -21,7 +20,6 @@ let default_config ~socket =
   {
     socket_path = socket;
     workers = 2;
-    queue_capacity = 1024;
     session_budget = 8 lsl 20;
     idle_timeout = 30.0;
     max_sessions = 64;
@@ -55,7 +53,7 @@ type conn = {
   fd : Unix.file_descr;
   mutable kind : conn_kind;
   mutable eof : bool;
-  mutable stalled : bool; (* backpressure: worker queue full this tick *)
+  mutable stalled : bool; (* backpressure: session ring found full this pass *)
   mutable throttled : bool; (* backpressure: fd reads suspended *)
   mutable last_events : int; (* events/sec gauge bookkeeping *)
   mutable last_mark : float;
@@ -68,6 +66,7 @@ type t = {
   listener : Unix.file_descr;
   stop_r : Unix.file_descr;
   stop_w : Unix.file_descr;
+  woken : bool Atomic.t; (* a worker's wake byte is in the self-pipe, unread *)
   pool : Pool.t;
   mutable conns : conn list;
   mutable next_id : int;
@@ -168,18 +167,30 @@ let bind_listener path =
   Unix.set_nonblock fd;
   fd
 
+(* Self-pipe bytes: 's' requests shutdown, 'q' (SIGQUIT) a black-box
+   dump, 'w' is a worker's wake-up and asks for nothing but a pass. *)
+let wake_byte = Bytes.make 1 'w'
+
 let create ?(metrics = Obs.Metrics.disabled) ?(domains = true) ~make_sink cfg =
   let listener = bind_listener cfg.socket_path in
   let stop_r, stop_w = Unix.pipe () in
   Unix.set_nonblock stop_r;
   Unix.set_nonblock stop_w;
   let flightrec_on = cfg.flightrec_capacity > 0 in
+  (* Workers wake the select loop through the self-pipe. [woken]
+     coalesces them to one unread byte, so the pipe never fills and a
+     stop request always finds room. *)
+  let woken = Atomic.make false in
+  let wake () =
+    if not (Atomic.exchange woken true) then
+      try ignore (Unix.write stop_w wake_byte 0 1) with Unix.Unix_error _ -> ()
+  in
   let pool =
     Pool.create ~domains
       ~worker_metrics:(Obs.Metrics.is_on metrics)
       ?flightrec_capacity:(if flightrec_on then Some cfg.flightrec_capacity else None)
       ?heatmap_cap:(if cfg.heatmap_cap > 0 then Some cfg.heatmap_cap else None)
-      ~workers:cfg.workers ~queue_capacity:cfg.queue_capacity make_sink
+      ~wake ~workers:cfg.workers make_sink
   in
   if Obs.Metrics.is_on metrics then begin
     (* Pre-declare the robustness counters so a snapshot shows zeros
@@ -208,6 +219,7 @@ let create ?(metrics = Obs.Metrics.disabled) ?(domains = true) ~make_sink cfg =
     listener;
     stop_r;
     stop_w;
+    woken;
     pool;
     conns = [];
     next_id = 0;
@@ -446,44 +458,48 @@ let handle_readable t conn =
       | 0 -> conn.eof <- true
       | _ -> ())
 
-(* {2 Per-tick housekeeping} *)
+(* {2 Per-pass housekeeping} *)
 
-(* Hand pending events to the session's worker, non-blocking: peek,
-   offer, pop only on success. Returns [false] when the worker is dead
-   (the connection has been replied to and removed). *)
+(* Hand pending events to the session's ring, non-blocking: peek,
+   offer, pop only on success; then publish the partial frame so the
+   worker sees everything handed over in this pass. A full ring ends the
+   pass — the worker wakes the loop once it has drained half. Returns
+   [false] when the worker is dead (the connection has been replied to
+   and removed). *)
 let flush_pending t conn session slot =
-  ignore slot;
+  let handed = ref 0 in
   try
     let continue = ref true in
     while !continue do
       match Session.peek_pending session with
       | None -> continue := false
       | Some ev ->
-          if Pool.try_submit t.pool ~id:(Session.id session) ev then begin
+          if Pool.try_submit t.pool slot ev then begin
             ignore (Session.pop_pending session);
-            Obs.Metrics.inc t.metrics "serve_events_total"
+            incr handed
           end
           else begin
             if not conn.stalled then begin
               conn.stalled <- true;
               Obs.Metrics.inc t.metrics "serve_backpressure_stalls_total";
-              record t ~cat:"backpressure" ~name:"stall" ~a:(Session.id session)
-                ~b:(Pool.queue_length t.pool ~id:(Session.id session))
+              record t ~cat:"backpressure" ~name:"stall" ~a:(Session.id session) ~b:(Pool.queue_length slot)
             end;
             continue := false
           end
     done;
+    Pool.flush t.pool slot;
+    Obs.Metrics.inc t.metrics ~by:!handed "serve_events_total";
     true
-  with Spsc.Closed ->
-    (* The worker died; no report will ever arrive. Per the Spsc close
-       contract, [try_push] can raise after its element was already
-       published, so delivery of the in-flight event is indeterminate —
+  with Frame_ring.Closed ->
+    (* The worker died; no report will ever arrive. Per the ring's close
+       contract, a publish can raise after its frame was already
+       published, so delivery of the in-flight events is indeterminate —
        irrelevant here, since the session is torn down either way. *)
     Session.terminate session Status.Detector_error (Some "worker domain died");
     reply_session t conn session (session_result_frame session None);
     false
 
-let update_gauges t conn session =
+let update_gauges t conn session slot =
   let n = now () in
   if n -. conn.last_mark >= 0.5 then begin
     let delivered = Session.events_delivered session in
@@ -494,7 +510,7 @@ let update_gauges t conn session =
   end;
   Obs.Metrics.set t.metrics ~labels:(session_label session)
     "serve_queue_depth"
-    (float_of_int (Session.pending_events session + Pool.queue_length t.pool ~id:(Session.id session)));
+    (float_of_int (Session.pending_events session + Pool.queue_length slot));
   Obs.Metrics.set t.metrics ~labels:(session_label session) "serve_live_bytes"
     (float_of_int (Session.live_bytes session))
 
@@ -556,14 +572,17 @@ let tick_conn t conn =
               (Some (Printf.sprintf "idle for more than %.1fs" t.cfg.idle_timeout));
             begin_finish t conn session slot ~drop:false
           end
-          else if flush_pending t conn session slot then update_gauges t conn session)
+          else if flush_pending t conn session slot then update_gauges t conn session slot)
   | Finishing (session, slot) ->
       if flush_pending t conn session slot && Session.pending_events session = 0 then (
-        match Pool.finish_session t.pool ~id:(Session.id session) with
-        | () ->
+        (* A full ring leaves the session Finishing: the worker's drain
+           wake-up brings the next attempt. *)
+        match Pool.try_finish t.pool slot with
+        | true ->
             Session.set_phase session Session.Awaiting;
             conn.kind <- Awaiting (session, slot)
-        | exception Spsc.Closed ->
+        | false -> ()
+        | exception Frame_ring.Closed ->
             Session.terminate session Status.Detector_error (Some "worker domain died");
             reply_session t conn session (session_result_frame session None))
   | Awaiting (session, slot) -> (
@@ -665,7 +684,6 @@ let run t =
       try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ -> ())
   @@ fun () ->
   let drain_stop_pipe () =
-    (* 's' requests shutdown, 'q' (SIGQUIT) a black-box dump. *)
     let b = Bytes.create 16 in
     let dump = ref false in
     let rec go () =
@@ -673,13 +691,18 @@ let run t =
       | n ->
           for i = 0 to n - 1 do
             match Bytes.get b i with
+            | 's' -> t.stopping <- true
             | 'q' -> dump := true
-            | _ -> t.stopping <- true
+            | _ -> ()
           done;
           if n = 16 then go ()
       | exception Unix.Unix_error _ -> ()
     in
     go ();
+    (* Cleared only after the read: a wake raised since is either in
+       the bytes just read (and its work is seen by this pass) or
+       writes a fresh byte that wakes the next select. *)
+    Atomic.set t.woken false;
     if !dump then begin
       dump_flightrec t ~reason:"sigquit" ~session:"daemon";
       dump_trace t ~reason:"sigquit"

@@ -5,11 +5,16 @@
     connections, reads hello lines and event streams, and feeds parsed
     events to a sticky {!Pool} of worker domains (session [id] always
     lands on worker [id mod workers], so detector state never crosses
-    domains). Robustness is layered as a backpressure ladder:
+    domains) through one {!Pmtrace.Frame_ring} per session. Workers
+    wake the loop through its self-pipe when a result or a failure
+    lands and when a full ring has drained to half, so the [select]
+    timeout ([tick]) only drives the timers: idle reaping, stats
+    streaming and the metrics file. Robustness is layered as a
+    backpressure ladder:
 
-    + the worker's bounded SPSC queue — full means the dispatch domain
-      stops submitting (non-blocking [try_submit]) and parks events in
-      the session's pending queue;
+    + the session's ring (1024 events) — full means the dispatch domain
+      stops submitting (non-blocking {!Pool.try_submit}) and parks
+      events in the session's pending queue until the worker's wake-up;
     + the pending queue crossing [pending_watermark] — the daemon stops
       [select]ing that client's fd, so the kernel socket buffer fills
       and the client's writes block (flow control without a protocol);
@@ -50,12 +55,14 @@
 type config = {
   socket_path : string;
   workers : int;  (** worker domains (default 2) *)
-  queue_capacity : int;  (** per-worker SPSC slots (default 1024) *)
   session_budget : int;  (** bytes a session may hold in the daemon (default 8 MiB) *)
   idle_timeout : float;  (** seconds; [<= 0.] disables reaping (default 30) *)
   max_sessions : int;  (** connection cap (default 64) *)
   pending_watermark : int;  (** parked events before fd throttling (default 4096) *)
-  tick : float;  (** select timeout, the housekeeping cadence (default 20 ms) *)
+  tick : float;
+      (** select timeout: the cadence of idle reaping, stats streaming
+          and metrics-file writes (default 20 ms). Event hand-over and
+          result delivery never wait for it. *)
   stream_interval : float;
       (** seconds between [stats_stream] frames and metrics-file
           writes (default 1.0) *)
@@ -106,7 +113,8 @@ val run : t -> unit
 
 val request_stop : t -> unit
 (** Trigger graceful shutdown from a signal handler or another domain
-    (self-pipe; safe to call repeatedly). *)
+    (self-pipe; safe to call repeatedly). Worker wake-ups share the
+    pipe but never read as a stop request. *)
 
 val request_dump : t -> unit
 (** Ask the dispatch loop to dump the flight recorder (reason

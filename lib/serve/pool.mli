@@ -2,30 +2,45 @@
     Domains.
 
     Sessions are sticky: session [id] always runs on worker
-    [id mod workers], so detector state never crosses domains. The
-    daemon's single dispatch domain is the one producer of every
-    worker's SPSC queue; each worker hosts its sessions' engines
-    (one {!Pmtrace.Engine.t} + sink per session, created on the worker
-    at [open_session]) and publishes results through the session's
-    {!slot} — a pair of atomics the dispatch domain polls.
+    [id mod workers], so detector state never crosses domains. Each
+    session gets its own small {!Pmtrace.Frame_ring} (1024 events: 4
+    frames of 256), produced by the daemon's single dispatch domain and
+    handed to the session's worker when the session opens. The worker
+    hosts its sessions' engines (one {!Pmtrace.Engine.t} + sink per
+    session, created on the worker) and round-robins
+    {!Pmtrace.Frame_ring.try_consume} over their rings, one frame per
+    session per pass. The ring's end-of-stream frame
+    ({!Pmtrace.Frame_ring.push_stop}) finishes the session; there is no
+    control channel beside the ring. Results come back through the
+    session's {!slot}.
+
+    {b Wake-ups.} The dispatcher never blocks on a worker: it pushes
+    with {!try_submit}/{!try_finish}, and when a ring is full it raises
+    a flag in the slot. The worker calls the pool's [wake] function when
+    it publishes a session's result, when it records a failure, and when
+    it drains a flagged ring to half — so neither backpressure nor a
+    finished report waits for the dispatcher's next timer tick.
 
     Fault containment: a detector exception is caught by the session's
     engine (sink quarantine) and surfaces in [failed]; finishing the
     session still yields a partial report with the failure recorded.
     Sibling sessions on the same worker are untouched. A worker domain
-    that somehow dies closes its queue, so submissions raise
-    {!Pmtrace.Spsc.Closed} rather than wedging the daemon.
+    that somehow dies closes its sessions' rings (and those of sessions
+    opened later), so submissions raise {!Pmtrace.Frame_ring.Closed}
+    rather than wedging the daemon.
 
     [~domains:false] runs every worker inline on the caller's domain —
     identical logic, deterministic scheduling — for unit and fuzz
-    tests. *)
+    tests: each published frame is consumed synchronously, so the ring
+    never fills. *)
 
 open Pmtrace
 
 type t
 
 type slot
-(** Cross-domain result cell for one session. *)
+(** One session's end of the pool: its event ring and the cross-domain
+    cells the worker reports through. *)
 
 val failed : slot -> string option
 (** Set as soon as the session's detector raised (the engine
@@ -33,8 +48,8 @@ val failed : slot -> string option
     streaming the rest of the trace into a dead detector. *)
 
 val result : slot -> Bug.report option
-(** Set when the worker has finished the session (after
-    [finish_session]); the report's [failure] field carries any
+(** Set when the worker has consumed the session's end-of-stream frame
+    (after {!try_finish}); the report's [failure] field carries any
     quarantine. *)
 
 val create :
@@ -58,8 +73,13 @@ val create :
     (** when given, each worker owns an enabled {!Obs.Heatmap} of this
         cap, handed to [make_sink] so the session detectors feed it;
         see {!heatmap_snapshots}. Default: the disabled table. *) ->
+  wake:(unit -> unit)
+    (** called on a worker domain when the dispatcher has something to
+        do: a result or a failure landed in a slot, or a ring the
+        dispatcher found full drained to half. Must be cheap and safe
+        from any domain (the daemon writes one byte into its
+        self-pipe). *) ->
   workers:int ->
-  queue_capacity:int ->
   (heatmap:Obs.Heatmap.t -> Sink.t) ->
   t
 (** [make_sink ~heatmap] is called once per session {e on the worker
@@ -72,27 +92,27 @@ val create :
     [worker_metrics], not the sink — per-session reports stay
     byte-identical to an offline replay. *)
 
-val workers : t -> int
-
-val worker_of : t -> int -> int
-
 val open_session : t -> id:int -> slot
-(** Blocking (the Open message must land). *)
+(** Create the session's ring and hand it to worker [id mod workers].
+    Never blocks. *)
 
-val submit : t -> id:int -> Event.t -> unit
-(** Blocking while the worker's queue is full; raises
-    {!Pmtrace.Spsc.Closed} if the worker died. *)
+val try_submit : t -> slot -> Event.t -> bool
+(** Stage one event in the session's ring. [false] when the ring is
+    full — the backpressure signal; the worker will [wake] the
+    dispatcher once it has drained the ring to half. Never blocks;
+    raises {!Pmtrace.Frame_ring.Closed} if the worker died. *)
 
-val try_submit : t -> id:int -> Event.t -> bool
-(** [false] when the worker's queue is full — the backpressure signal;
-    never blocks. *)
+val flush : t -> slot -> unit
+(** Publish the staged partial frame, so the worker sees every event
+    submitted so far. The dispatcher calls it at the end of each pass. *)
 
-val finish_session : t -> id:int -> unit
-(** Ask the worker to finish the session's engine ({!Pmtrace.Engine.finish_all})
-    and publish the report into the slot. Blocking push. *)
+val try_finish : t -> slot -> bool
+(** Publish the end-of-stream frame: the worker finishes the session's
+    engine ({!Pmtrace.Engine.finish_all}) and sets {!result}. [false]
+    when the ring is full, with the same wake-up as {!try_submit}. *)
 
-val queue_length : t -> id:int -> int
-(** Occupancy of the worker queue serving [id] (0 inline). *)
+val queue_length : slot -> int
+(** Events submitted but not yet decoded by the worker. *)
 
 val metrics_snapshots : t -> Obs.Metrics.snapshot list
 (** One snapshot per worker: the last atomically-published snapshot in

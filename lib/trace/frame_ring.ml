@@ -1,19 +1,19 @@
 (* Bounded single-producer / single-consumer ring of *frames*: flat
-   byte buffers each packing a batch of encoded events. This is the
-   batched transport behind [Shard_router] (ROADMAP Open item 1): the
-   per-event SPSC hand-off costs one [Some]-boxed message allocation
-   plus one seq-cst store per event, which dominates detection work at
-   ~70ns/event; packing [frame_events] events per published frame
-   amortizes the atomic protocol and allocates nothing per event — the
-   encoder writes straight into a preallocated [Bytes] slot.
+   byte buffers each packing a batch of encoded events. This is the one
+   cross-domain event transport: [Shard_router] feeds its shard workers
+   through it and the serve pool its session workers. A per-event
+   hand-off costs one boxed message allocation plus one seq-cst store
+   per event, which dominates detection work at ~70ns/event; packing
+   [frame_events] events per published frame amortizes the atomic
+   protocol and allocates nothing per event — the encoder writes
+   straight into a preallocated [Bytes] slot.
 
-   Ring protocol (same memory-model argument as [Spsc]): the producer
-   fills the staging slot [tail land mask] with plain writes, then
-   publishes the whole frame with one seq-cst store of [tail]; the
-   consumer's seq-cst read of [tail] therefore happens-after every byte
-   of the frame. The consumer bumps [head] after decoding, freeing the
-   slot. Each side caches the other's index and refreshes it only on
-   apparent full/empty.
+   Ring protocol: the producer fills the staging slot [tail land mask]
+   with plain writes, then publishes the whole frame with one seq-cst
+   store of [tail]; the consumer's seq-cst read of [tail] therefore
+   happens-after every byte of the frame. The consumer bumps [head]
+   after decoding, freeing the slot. Each side caches the other's index
+   and refreshes it only on apparent full/empty.
 
    Frame layout: a slot is a [Bytes] buffer of [used.(i)] valid bytes
    holding [counts.(i)] records back to back. A record is
@@ -28,16 +28,16 @@
    the consumer learns the stream is over — so "Stop with a partial
    frame pending" delivers the tail events exactly once.
 
-   Close semantics (mirrors [Spsc], including the exact-delivery
-   guarantee): either side may [close]. A blocked producer or consumer
-   wakes up with [Closed]; the consumer drains already-published frames
-   before raising. The producer re-checks [closed] immediately before
-   *and* after publishing: under sequentially consistent atomics, a
-   [push]/[flush] that returns normally read [closed = false] after its
-   [tail] store, so any consumer that observes [closed = true] and then
-   does a final drain (as [wait] does) is guaranteed to see the frame —
-   a publish racing [close] can therefore never lose events silently;
-   the producer gets [Closed] instead. Events still *staged* (never
+   Close semantics (with an exact-delivery guarantee): either side may
+   [close]. A blocked producer or consumer wakes up with [Closed]; the
+   consumer drains already-published frames before raising. The
+   producer re-checks [closed] immediately before *and* after
+   publishing: under sequentially consistent atomics, a [push]/[flush]
+   that returns normally read [closed = false] after its [tail] store,
+   so any consumer that observes [closed = true] and then does a final
+   drain (as [wait] does) is guaranteed to see the frame — a publish
+   racing [close] can therefore never lose events silently; the
+   producer gets [Closed] instead. Events still *staged* (never
    published) when the producer gives up are lost by design — callers
    must [flush] before abandoning the ring. *)
 
@@ -320,24 +320,25 @@ let decode b off ~f =
 
 (* {2 Producer} *)
 
-(* Wait until the staging slot [tail land mask] is free of the
-   consumer. Only needed once per frame: after the check the slot is
-   the producer's until published. *)
+(* [true] once the staging slot [tail land mask] is free of the
+   consumer; [false] while every slot holds an unconsumed frame. Only
+   needed once per frame: after a successful claim the slot is the
+   producer's until published. *)
+let try_claim t =
+  t.st_claimed
+  ||
+  let tail = Atomic.get t.tail in
+  if tail - t.cached_head >= capacity t then t.cached_head <- Atomic.get t.head;
+  t.st_claimed <- tail - t.cached_head < capacity t;
+  t.st_claimed
+
 let claim t =
-  if not t.st_claimed then begin
-    let tail = Atomic.get t.tail in
-    if tail - t.cached_head >= capacity t then begin
-      let n = ref 0 in
-      t.cached_head <- Atomic.get t.head;
-      while tail - t.cached_head >= capacity t do
-        if Atomic.get t.closed then raise Closed;
-        backoff !n;
-        incr n;
-        t.cached_head <- Atomic.get t.head
-      done
-    end;
-    t.st_claimed <- true
-  end
+  let n = ref 0 in
+  while not (try_claim t) do
+    if Atomic.get t.closed then raise Closed;
+    backoff !n;
+    incr n
+  done
 
 let publish t ~stop =
   let tail = Atomic.get t.tail in
@@ -412,6 +413,28 @@ let push_stop t =
   (* The staged partial frame (possibly empty) becomes the end-of-stream
      frame: its events are decoded first, then the consumer stops. *)
   ignore (publish t ~stop:true)
+
+(* Non-blocking twins: succeed exactly when the blocking call would not
+   wait. A push that overflows the staging slot's bytes publishes the
+   slot and starts the next one, so it needs a second free slot. *)
+let try_push t ~seq ~silent ev =
+  if Atomic.get t.closed then raise Closed;
+  try_claim t
+  && (t.st_count = 0
+     || t.st_used + need ev <= Bytes.length t.slots.(Atomic.get t.tail land t.mask)
+     || Atomic.get t.tail + 1 - Atomic.get t.head < capacity t)
+  && begin
+       ignore (push t ~seq ~silent ev);
+       true
+     end
+
+let try_push_stop t =
+  if Atomic.get t.closed then raise Closed;
+  try_claim t
+  && begin
+       ignore (publish t ~stop:true);
+       true
+     end
 
 (* {2 Consumer} *)
 

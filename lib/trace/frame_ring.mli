@@ -1,19 +1,22 @@
 (** Bounded single-producer / single-consumer ring of {e frames} — flat
-    [Bytes] buffers each packing a batch of encoded events — the
-    batched transport behind {!Shard_router}.
+    [Bytes] buffers each packing a batch of encoded events. It is the
+    one cross-domain event transport: {!Shard_router} feeds its shard
+    workers through it, and the serving daemon gives each session its
+    own ring to the session's worker.
 
-    Motivation: the per-event {!Spsc} hand-off allocates a boxed
-    message per event and pays one sequentially consistent store per
-    element, which dominates detection work (~70ns/event dispatch cost
-    became ~740ns sharded in BENCH_pr5). Here the producer encodes
-    events back to back into a preallocated staging slot with plain
-    writes ({e no allocation per event}) and publishes a whole frame —
-    up to [frame_events] records — with a single atomic store;
-    the consumer decodes a frame at a time.
+    Motivation: a per-event hand-off allocates a boxed message per
+    event and pays one sequentially consistent store per element, which
+    dominates detection work (~70ns/event dispatch cost became
+    ~740ns when sharded). Here the producer encodes events back
+    to back into a preallocated staging slot with plain writes ({e no
+    allocation per event}) and publishes a whole frame — up to
+    [frame_events] records — with a single atomic store; the consumer
+    decodes a frame at a time.
 
     Exactly one domain may call the producer operations
-    ({!push}/{!flush}/{!push_stop}) and exactly one the consumer
-    operations ({!wait}/{!try_consume}/{!consume}).
+    ({!push}/{!try_push}/{!flush}/{!push_stop}/{!try_push_stop}) and
+    exactly one the consumer operations
+    ({!wait}/{!try_consume}/{!consume}).
 
     {b Record format} (stable only within a process): a tag byte
     (constructor, with the replica-silence flag in bit 7), the event's
@@ -29,7 +32,9 @@
     makes delivery exact: a {!push}/{!flush}/{!push_stop} that returns
     normally is guaranteed visible to any consumer that drains after
     observing the close, so a publish racing [close] raises rather than
-    losing events silently. Events still {e staged} when the ring is
+    losing events silently. A consumer that dies must close the ring on
+    its way out, so its producer raises {!Closed} instead of waiting on
+    a full ring forever. Events still {e staged} when the ring is
     abandoned are lost — flush before walking away. *)
 
 type t
@@ -88,6 +93,13 @@ val push : t -> seq:int -> silent:bool -> Event.t -> int
     {e after} the publishing store the frame is still delivered to a
     draining consumer (see close semantics above). *)
 
+val try_push : t -> seq:int -> silent:bool -> Event.t -> bool
+(** Non-blocking {!push}: [false] — nothing staged, nothing published —
+    when the push would have to wait for the consumer to free a slot.
+    It does not report how many events it published; a caller that
+    consumes on the producer's domain uses {!push} or polls {!length}.
+    Raises {!Closed} like {!push}. *)
+
 val flush : t -> int
 (** Publish the staged partial frame, if any; returns its event count
     (0 when nothing was staged). The barrier-flush rule: callers must
@@ -98,6 +110,10 @@ val push_stop : t -> unit
 (** Publish the staged partial frame (possibly empty) marked
     end-of-stream: the consumer decodes its events, then learns the
     stream is over. *)
+
+val try_push_stop : t -> bool
+(** Non-blocking {!push_stop}: [false] when every slot holds an
+    unconsumed frame and nothing was staged. *)
 
 (** {1 Consumer} *)
 
@@ -116,6 +132,12 @@ val consume :
   t -> f:(seq:int -> silent:bool -> Event.t -> unit) -> [ `Frame of int | `Stop of int ]
 (** Blocking {!try_consume}: {!wait} then decode. Raises {!Closed} once
     closed and drained. *)
+
+val backoff : int -> unit
+(** [backoff n] — the wait schedule of the blocking operations, for the
+    [n]th consecutive idle poll: spin ([Domain.cpu_relax]) for the first
+    32, then sleep from 1µs doubling up to 1ms. For consumers that poll
+    several rings with {!try_consume}. *)
 
 val last_frame_ts : t -> float
 (** Publish timestamp ({!Obs.Clock.now} at the producer's publishing

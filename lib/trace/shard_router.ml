@@ -10,14 +10,12 @@ open Pmem
    one canonical report whose findings equal the single-shard run —
    see DESIGN.md "Sharded detection" for the equality contract.
 
-   Transport: by default events are batched into frames ([Frame_ring]):
-   the router encodes each event into the destination shard's staging
-   buffer (no per-event allocation) and publishes a whole frame every
-   [frame_size] events; workers decode and dispatch a frame at a time
-   and bump [processed] once per frame. The drain barrier flushes
-   partial frames first, so cross-shard stalls see every routed event.
-   [frame_size = 0] selects the legacy per-event SPSC hand-off, kept as
-   the honest baseline for the frames-vs-per-event bench curve. *)
+   Transport: events are batched into frames ([Frame_ring]): the router
+   encodes each event into the destination shard's staging buffer (no
+   per-event allocation) and publishes a whole frame every [frame_size]
+   events; workers decode and dispatch a frame at a time and bump
+   [processed] once per frame. The drain barrier flushes partial frames
+   first, so cross-shard stalls see every routed event. *)
 
 let max_prior_seqs = 8
 (* Must match the per-backend cap (Store_intf.max_prior_seqs references
@@ -62,25 +60,23 @@ let merge_clf_obs obs =
     co_redundant = List.concat_map (fun o -> o.co_redundant) obs;
   }
 
-(* {2 Worker messages and execution} *)
-
-type msg = Ev of { seq : int; silent : bool; ev : Event.t } | Stop
-
-type transport =
-  | Per_event of msg Spsc.t array (* one boxed message + one atomic store per event *)
-  | Framed of Frame_ring.t array (* flat byte frames, published every [frame_size] events *)
+(* {2 Transport and worker execution} *)
 
 type t = {
   shards : int;
   workers : worker array;
-  transport : transport;
+  rings : Frame_ring.t array; (* one per shard, published every [frame_size] events *)
   pushed : int array; (* per shard, router side *)
   processed : int Atomic.t array;
-      (* per shard: bumped by the worker after each event (per-event
-         transport) or once per decoded frame, by its event count
-         (framed transport) *)
-  domains : Bug.report Domain.t array; (* empty in inline mode *)
-  inline_failures : string option ref array;
+      (* per shard: bumped by the worker once per decoded frame, by its
+         event count *)
+  mutable domains : Bug.report Domain.t array; (* empty in inline mode *)
+  failures : string option ref array;
+      (* per shard: the first detector exception, written only by the
+         shard's consumer and read after it joined *)
+  mutable inline_consumers : (unit -> [ `Empty | `Frame of int | `Stop of int ]) array;
+      (* inline mode only: decode one frame of each shard on the router's
+         domain *)
   use_domains : bool;
   mutable registered : Addr.range list;
   mutable track_all : bool;
@@ -105,44 +101,7 @@ type t = {
 
 let shard_label i = [ ("shard", string_of_int i) ]
 
-(* The transport is closed on every exit path: if a worker domain ever
-   dies (it should not — detector exceptions are caught below), the
-   router's next push raises [Spsc.Closed]/[Frame_ring.Closed] instead
-   of blocking forever on a consumer that is gone; the engine then
-   quarantines the router sink. *)
-let worker_loop w q processed wreg shard =
-  Fun.protect ~finally:(fun () -> Spsc.close q) @@ fun () ->
-  let failure = ref None in
-  let labels = shard_label shard in
-  let rec go () =
-    match Spsc.pop q with
-    | Ev { seq; silent; ev } ->
-        (* Worker-side telemetry lives in the worker's own registry:
-           zero cross-domain contention, folded in at finish. The
-           latency histogram is what attributes hand-off vs. detector
-           cost for the sharding regression (ROADMAP Open item 1). *)
-        (if !failure = None then
-           if not (Obs.Metrics.is_on wreg) then (
-             try w.w_event ~seq ~silent ev with exn -> failure := Some (Printexc.to_string exn))
-           else begin
-             Obs.Metrics.inc wreg ~labels "shard_worker_events_total";
-             let t0 = Unix.gettimeofday () in
-             (try w.w_event ~seq ~silent ev with exn -> failure := Some (Printexc.to_string exn));
-             Obs.Metrics.observe wreg ~labels "shard_worker_event_seconds"
-               (Unix.gettimeofday () -. t0)
-           end);
-        Atomic.incr processed;
-        go ()
-    | Stop -> (
-        let r =
-          try w.w_finish ()
-          with exn -> { (Bug.empty_report "sharded") with Bug.failure = Some (Printexc.to_string exn) }
-        in
-        match !failure with None -> r | Some msg -> { r with Bug.failure = Some msg })
-  in
-  go ()
-
-(* Framed twin of [worker_loop]: decode a published frame, dispatch its
+(* Shard [i]'s consumer step: decode one published frame, dispatch its
    events, then account the whole batch — one [processed] bump and one
    histogram observation per stage per frame, which is the point of
    batching. Stage attribution (all against [Obs.Clock], the clock the
@@ -154,17 +113,22 @@ let worker_loop w q processed wreg shard =
 
    When metrics are off the whole attribution path is behind one branch
    per frame plus the plain dispatch closure — the overhead guard test
-   pins it. *)
-let framed_worker_loop w ring processed wreg fring shard =
-  Fun.protect ~finally:(fun () -> Frame_ring.close ring) @@ fun () ->
-  let failure = ref None in
-  let labels = shard_label shard in
+   pins it. The same step runs on the shard's worker domain or, inline,
+   on the router's domain right after each publish, so both modes share
+   frame boundaries and failure capture. *)
+let frame_consumer t i =
+  let ring = t.rings.(i) in
+  let w = t.workers.(i) in
+  let failure = t.failures.(i) in
+  let wreg = t.worker_metrics.(i) in
+  let labels = t.labels.(i) in
+  let fring = t.worker_flightrecs.(i) in
+  let metrics_on = Obs.Metrics.is_on wreg in
+  let fr_on = Obs.Flightrec.is_on fring in
   let on_event_plain ~seq ~silent ev =
     if !failure = None then
       try w.w_event ~seq ~silent ev with exn -> failure := Some (Printexc.to_string exn)
   in
-  let metrics_on = Obs.Metrics.is_on wreg in
-  let fr_on = Obs.Flightrec.is_on fring in
   let disp_acc = ref 0.0 in
   let on_event =
     if not metrics_on then on_event_plain
@@ -172,13 +136,6 @@ let framed_worker_loop w ring processed wreg fring shard =
       let t0 = Obs.Clock.now () in
       on_event_plain ~seq ~silent ev;
       disp_acc := !disp_acc +. (Obs.Clock.now () -. t0)
-  in
-  let finish () =
-    let r =
-      try w.w_finish ()
-      with exn -> { (Bug.empty_report "sharded") with Bug.failure = Some (Printexc.to_string exn) }
-    in
-    match !failure with None -> r | Some msg -> { r with Bug.failure = Some msg }
   in
   let account n t0 =
     if n > 0 then begin
@@ -190,86 +147,52 @@ let framed_worker_loop w ring processed wreg fring shard =
         Obs.Metrics.observe wreg ~labels "shard_frame_residency_seconds"
           (Float.max 0.0 (t0 -. Frame_ring.last_frame_ts ring));
         Obs.Metrics.observe wreg ~labels "shard_frame_dispatch_seconds" dispatch;
-        Obs.Metrics.observe wreg ~labels "shard_frame_decode_seconds"
-          (Float.max 0.0 (total -. dispatch))
+        Obs.Metrics.observe wreg ~labels "shard_frame_decode_seconds" (Float.max 0.0 (total -. dispatch))
       end;
-      ignore (Atomic.fetch_and_add processed n)
+      ignore (Atomic.fetch_and_add t.processed.(i) n)
     end;
     disp_acc := 0.0;
     if fr_on then
-      Obs.Flightrec.record fring ~ts:(Obs.Clock.now ()) ~cat:"frame" ~name:"pop" ~a:shard
+      Obs.Flightrec.record fring ~ts:(Obs.Clock.now ()) ~cat:"frame" ~name:"pop" ~a:i
         ~b:(Frame_ring.consumed_frames ring - 1)
   in
+  fun () ->
+    let t0 = if metrics_on then Obs.Clock.now () else 0.0 in
+    match Frame_ring.try_consume ring ~f:on_event with
+    | `Empty -> `Empty
+    | (`Frame n | `Stop n) as r ->
+        account n t0;
+        r
+
+let finish_worker t i =
+  let r =
+    try t.workers.(i).w_finish ()
+    with exn -> { (Bug.empty_report "sharded") with Bug.failure = Some (Printexc.to_string exn) }
+  in
+  match !(t.failures.(i)) with None -> r | Some msg -> { r with Bug.failure = Some msg }
+
+(* The ring is closed on every exit path: if a worker domain ever dies
+   (it should not — detector exceptions are caught by the consumer), the
+   router's next push raises [Frame_ring.Closed] instead of blocking
+   forever on a consumer that is gone; the engine then quarantines the
+   router sink. *)
+let worker_loop t i =
+  let ring = t.rings.(i) in
+  Fun.protect ~finally:(fun () -> Frame_ring.close ring) @@ fun () ->
+  let consume = frame_consumer t i in
   let rec go () =
     Frame_ring.wait ring;
-    let t0 = if metrics_on then Obs.Clock.now () else 0.0 in
-    match Frame_ring.try_consume ring ~f:on_event with
-    | `Empty -> go ()
-    | `Frame n ->
-        account n t0;
-        go ()
-    | `Stop n ->
-        account n t0;
-        finish ()
-  in
-  go ()
-
-(* Inline dispatch of one event to worker [i] on the router's domain,
-   with the same failure capture as the domain loops. *)
-let inline_event t i ~seq ~silent ev =
-  if !(t.inline_failures.(i)) = None then
-    try t.workers.(i).w_event ~seq ~silent ev
-    with exn -> t.inline_failures.(i) := Some (Printexc.to_string exn)
-
-(* Inline framed mode decodes published frames synchronously right
-   after publishing them — same encode/decode path and frame boundaries
-   as the domain mode, deterministic scheduling. *)
-let consume_inline t i ring =
-  let wreg = t.worker_metrics.(i) in
-  let labels = t.labels.(i) in
-  let metrics_on = Obs.Metrics.is_on wreg in
-  let fring = t.worker_flightrecs.(i) in
-  let fr_on = Obs.Flightrec.is_on fring in
-  let disp_acc = ref 0.0 in
-  let on_event =
-    if not metrics_on then fun ~seq ~silent ev -> inline_event t i ~seq ~silent ev
-    else fun ~seq ~silent ev ->
-      let t0 = Obs.Clock.now () in
-      inline_event t i ~seq ~silent ev;
-      disp_acc := !disp_acc +. (Obs.Clock.now () -. t0)
-  in
-  let rec go () =
-    let t0 = if metrics_on then Obs.Clock.now () else 0.0 in
-    match Frame_ring.try_consume ring ~f:on_event with
-    | `Empty -> ()
-    | `Frame n | `Stop n ->
-        if n > 0 then begin
-          if metrics_on then begin
-            let total = Obs.Clock.now () -. t0 in
-            let dispatch = !disp_acc in
-            Obs.Metrics.inc wreg ~labels ~by:n "shard_worker_events_total";
-            Obs.Metrics.observe wreg ~labels "shard_worker_frame_seconds" total;
-            Obs.Metrics.observe wreg ~labels "shard_frame_residency_seconds"
-              (Float.max 0.0 (t0 -. Frame_ring.last_frame_ts ring));
-            Obs.Metrics.observe wreg ~labels "shard_frame_dispatch_seconds" dispatch;
-            Obs.Metrics.observe wreg ~labels "shard_frame_decode_seconds"
-              (Float.max 0.0 (total -. dispatch))
-          end;
-          ignore (Atomic.fetch_and_add t.processed.(i) n)
-        end;
-        disp_acc := 0.0;
-        if fr_on then
-          Obs.Flightrec.record fring ~ts:(Obs.Clock.now ()) ~cat:"frame" ~name:"pop" ~a:i
-            ~b:(Frame_ring.consumed_frames ring - 1);
-        go ()
+    match consume () with `Empty | `Frame _ -> go () | `Stop _ -> finish_worker t i
   in
   go ()
 
 (* Router-side accounting for a just-published frame of [n] events.
    [shard_events_total] is bumped per frame (by the frame's count), not
    per event — totals are exact once the stream is flushed, and the
-   queue-depth gauge samples on the shard's own publish cadence. *)
-let on_publish t i ring n =
+   queue-depth gauge samples on the shard's own publish cadence. Inline
+   mode decodes the frame right here. *)
+let on_publish t i n =
+  let ring = t.rings.(i) in
   if Obs.Metrics.is_on t.metrics then begin
     Obs.Metrics.inc t.metrics ~labels:t.labels.(i) ~by:n "shard_events_total";
     Obs.Metrics.max_set t.metrics ~labels:t.labels.(i) "shard_queue_depth_peak"
@@ -283,53 +206,24 @@ let on_publish t i ring n =
   if Obs.Flightrec.is_on t.flightrec then
     Obs.Flightrec.record t.flightrec ~ts:(Obs.Clock.now ()) ~cat:"frame" ~name:"publish" ~a:i
       ~b:(Frame_ring.published_frames ring - 1);
-  if not t.use_domains then consume_inline t i ring
-
-(* Per-event transport: sample the depth gauge on the shard's own push
-   count — every shard gets an early sample (first push) and then one
-   every 64 of *its* pushes, instead of all shards sampling on the same
-   global tick (which left shards with <64 routed events unsampled). *)
-let sample_depth t i q =
-  if Obs.Metrics.is_on t.metrics then begin
-    let p = t.pushed.(i) in
-    if p = 1 || p land 63 = 0 then
-      Obs.Metrics.max_set t.metrics ~labels:t.labels.(i) "shard_queue_depth_peak"
-        (float_of_int (Spsc.length q))
-  end
+  if not t.use_domains then
+    while t.inline_consumers.(i) () <> `Empty do
+      ()
+    done
 
 let send t i ~seq ~silent ev =
   t.pushed.(i) <- t.pushed.(i) + 1;
-  match t.transport with
-  | Per_event queues ->
-      Obs.Metrics.inc t.metrics ~labels:t.labels.(i) "shard_events_total";
-      if t.use_domains then begin
-        Spsc.push queues.(i) (Ev { seq; silent; ev });
-        sample_depth t i queues.(i)
-      end
-      else begin
-        let wreg = t.worker_metrics.(i) in
-        (if !(t.inline_failures.(i)) = None then
-           if not (Obs.Metrics.is_on wreg) then inline_event t i ~seq ~silent ev
-           else begin
-             Obs.Metrics.inc wreg ~labels:t.labels.(i) "shard_worker_events_total";
-             let t0 = Unix.gettimeofday () in
-             inline_event t i ~seq ~silent ev;
-             Obs.Metrics.observe wreg ~labels:t.labels.(i) "shard_worker_event_seconds"
-               (Unix.gettimeofday () -. t0)
-           end);
-        Atomic.incr t.processed.(i)
-      end
-  | Framed rings ->
-      if Obs.Metrics.is_on t.metrics then begin
-        let t0 = Obs.Clock.now () in
-        let n = Frame_ring.push rings.(i) ~seq ~silent ev in
-        t.enc_acc.(i) <- t.enc_acc.(i) +. (Obs.Clock.now () -. t0);
-        if n > 0 then on_publish t i rings.(i) n
-      end
-      else begin
-        let n = Frame_ring.push rings.(i) ~seq ~silent ev in
-        if n > 0 then on_publish t i rings.(i) n
-      end
+  let ring = t.rings.(i) in
+  if Obs.Metrics.is_on t.metrics then begin
+    let t0 = Obs.Clock.now () in
+    let n = Frame_ring.push ring ~seq ~silent ev in
+    t.enc_acc.(i) <- t.enc_acc.(i) +. (Obs.Clock.now () -. t0);
+    if n > 0 then on_publish t i n
+  end
+  else begin
+    let n = Frame_ring.push ring ~seq ~silent ev in
+    if n > 0 then on_publish t i n
+  end
 
 let broadcast t ~seq ?silent_except ev =
   for i = 0 to t.shards - 1 do
@@ -341,18 +235,15 @@ let broadcast t ~seq ?silent_except ev =
    protocol: a drain that did not flush first would spin forever on
    events parked in staging buffers no worker can see. *)
 let flush_frames t =
-  match t.transport with
-  | Per_event _ -> ()
-  | Framed rings ->
-      for i = 0 to t.shards - 1 do
-        let n = Frame_ring.flush rings.(i) in
-        if n > 0 then on_publish t i rings.(i) n
-      done
+  for i = 0 to t.shards - 1 do
+    let n = Frame_ring.flush t.rings.(i) in
+    if n > 0 then on_publish t i n
+  done
 
 (* Wait until every worker has consumed everything pushed so far. The
    Atomic read of [processed] after the worker's last mutation gives the
    router a happens-before edge: once drained, the router may touch
-   worker state directly (the workers are parked in [pop]/[wait]). *)
+   worker state directly (the workers are parked in [wait]). *)
 let drain t =
   flush_frames t;
   if t.use_domains then
@@ -459,7 +350,7 @@ let route t ev =
 
 (* {2 Vectorized batch routing}
 
-   Framed mode stages incoming events into a batch and routes the batch
+   The sink stages incoming events into a batch and routes the batch
    in two passes: pass 1 classifies every event into an int target code
    (single shard, broadcast, pinned-broadcast, drop), pass 2 appends to
    the per-shard frames driven by the codes alone — no per-event
@@ -633,43 +524,22 @@ let finish t =
          the replayed file lacks an explicit Program_end (end-of-trace
          rules are idempotent on a second delivery). *)
       broadcast t ~seq:t.events Event.Program_end;
+      flush_frames t;
       let reports =
         if t.use_domains then begin
-          (* Final transport sample + stop, per shard: the depth gauge
-             is read before the stop lands (after the join it would
-             always read an empty, drained queue). *)
-          (match t.transport with
-          | Per_event queues ->
-              Array.iteri
-                (fun i q ->
-                  if Obs.Metrics.is_on t.metrics then
-                    Obs.Metrics.max_set t.metrics ~labels:t.labels.(i) "shard_queue_depth_peak"
-                      (float_of_int (Spsc.length q));
-                  Spsc.push q Stop)
-                queues
-          | Framed rings ->
-              Array.iteri
-                (fun i ring ->
-                  let n = Frame_ring.flush ring in
-                  if n > 0 then on_publish t i ring n;
-                  if Obs.Metrics.is_on t.metrics then
-                    Obs.Metrics.max_set t.metrics ~labels:t.labels.(i) "shard_queue_depth_peak"
-                      (float_of_int (Frame_ring.length ring));
-                  Frame_ring.push_stop ring)
-                rings);
+          (* Final depth sample + stop, per shard: the gauge is read
+             before the stop lands (after the join it would always read
+             an empty, drained ring). *)
+          Array.iteri
+            (fun i ring ->
+              if Obs.Metrics.is_on t.metrics then
+                Obs.Metrics.max_set t.metrics ~labels:t.labels.(i) "shard_queue_depth_peak"
+                  (float_of_int (Frame_ring.length ring));
+              Frame_ring.push_stop ring)
+            t.rings;
           Array.to_list (Array.map Domain.join t.domains)
         end
-        else begin
-          flush_frames t;
-          Array.to_list
-            (Array.mapi
-               (fun i w ->
-                 let r = w.w_finish () in
-                 match !(t.inline_failures.(i)) with
-                 | None -> r
-                 | Some msg -> { r with Bug.failure = Some msg })
-               t.workers)
-        end
+        else List.init t.shards (finish_worker t)
       in
       (* The workers have joined (or ran inline): reading their
          registries is race-free, and absorbing them gives the router's
@@ -683,7 +553,7 @@ let create ~shards ?(queue_capacity = 1024) ?(frame_size = default_frame_size) ?
     ?(metrics = Obs.Metrics.disabled) ?(flightrec = Obs.Flightrec.disabled) ?worker_flightrecs
     ?(max_bugs_per_kind = 1000) make_worker =
   if shards < 1 then invalid_arg "Shard_router.create: shards must be >= 1";
-  if frame_size < 0 then invalid_arg "Shard_router.create: frame_size must be >= 0";
+  if frame_size < 1 then invalid_arg "Shard_router.create: frame_size must be >= 1";
   let worker_flightrecs =
     match worker_flightrecs with
     | None -> Array.init shards (fun _ -> Obs.Flightrec.disabled)
@@ -692,18 +562,9 @@ let create ~shards ?(queue_capacity = 1024) ?(frame_size = default_frame_size) ?
           invalid_arg "Shard_router.create: worker_flightrecs must have one ring per shard";
         a
   in
-  let workers = Array.init shards make_worker in
-  let transport =
-    if frame_size = 0 then
-      Per_event (Array.init shards (fun _ -> Spsc.create ~capacity:queue_capacity))
-    else begin
-      (* [queue_capacity] stays denominated in events: the ring holds
-         roughly that many in-flight events, split into frames. *)
-      let slots = max 2 ((queue_capacity + frame_size - 1) / frame_size) in
-      Framed (Array.init shards (fun _ -> Frame_ring.create ~slots ~frame_events:frame_size ()))
-    end
-  in
-  let processed = Array.init shards (fun _ -> Atomic.make 0) in
+  (* [queue_capacity] is denominated in events: the ring holds roughly
+     that many in-flight events, split into frames. *)
+  let slots = max 2 ((queue_capacity + frame_size - 1) / frame_size) in
   let worker_metrics =
     Array.init shards (fun _ -> Obs.Metrics.create ~enabled:(Obs.Metrics.is_on metrics) ())
   in
@@ -717,12 +578,13 @@ let create ~shards ?(queue_capacity = 1024) ?(frame_size = default_frame_size) ?
   let t =
     {
       shards;
-      workers;
-      transport;
+      workers = Array.init shards make_worker;
+      rings = Array.init shards (fun _ -> Frame_ring.create ~slots ~frame_events:frame_size ());
       pushed = Array.make shards 0;
-      processed;
+      processed = Array.init shards (fun _ -> Atomic.make 0);
       domains = [||];
-      inline_failures = Array.init shards (fun _ -> ref None);
+      failures = Array.init shards (fun _ -> ref None);
+      inline_consumers = [||];
       use_domains = domains;
       registered = [];
       track_all = true;
@@ -738,60 +600,36 @@ let create ~shards ?(queue_capacity = 1024) ?(frame_size = default_frame_size) ?
       result = None;
     }
   in
-  let t =
-    if domains then
-      {
-        t with
-        domains =
-          Array.init shards (fun i ->
-              match transport with
-              | Per_event queues ->
-                  Domain.spawn (fun () ->
-                      worker_loop workers.(i) queues.(i) processed.(i) worker_metrics.(i) i)
-              | Framed rings ->
-                  Domain.spawn (fun () ->
-                      framed_worker_loop workers.(i) rings.(i) processed.(i) worker_metrics.(i)
-                        worker_flightrecs.(i) i));
-      }
-    else t
-  in
+  if domains then t.domains <- Array.init shards (fun i -> Domain.spawn (fun () -> worker_loop t i))
+  else t.inline_consumers <- Array.init shards (frame_consumer t);
   t
 
+(* The sink stages one frame's worth of events and routes the whole
+   batch with the two-pass classify/append loop. Staged events are only
+   parked between sink calls — the flush in [finish] runs before the
+   end-of-trace broadcast, so workers still see the complete stream. *)
 let sink ?name:(sink_name = "pmdebugger-sharded") ~shards ?queue_capacity ?frame_size ?domains ?metrics
     ?flightrec ?worker_flightrecs ?max_bugs_per_kind make_worker =
   let t =
     create ~shards ?queue_capacity ?frame_size ?domains ?metrics ?flightrec ?worker_flightrecs
       ?max_bugs_per_kind make_worker
   in
-  match t.transport with
-  | Per_event _ ->
-      (* The per-event transport is the measured baseline: route each
-         event as it arrives, no staging. *)
-      Sink.make ~name:sink_name ~on_event:(fun ev -> route t ev) ~finish:(fun () -> finish t)
-  | Framed _ ->
-      (* Framed mode stages one frame's worth of events and routes the
-         whole batch with the two-pass classify/append loop. Staged
-         events are only parked between sink calls — the flush in
-         [finish] runs before the end-of-trace broadcast, so workers
-         still see the complete stream. *)
-      let cap =
-        match frame_size with Some n when n > 0 -> n | _ -> default_frame_size
-      in
-      let buf = Array.make cap Event.Program_end in
-      let codes = Array.make cap 0 in
-      let fill = ref 0 in
-      let flush_batch () =
-        if !fill > 0 then begin
-          let n = !fill in
-          fill := 0;
-          route_batch t buf codes n
-        end
-      in
-      Sink.make ~name:sink_name
-        ~on_event:(fun ev ->
-          buf.(!fill) <- ev;
-          incr fill;
-          if !fill = cap then flush_batch ())
-        ~finish:(fun () ->
-          flush_batch ();
-          finish t)
+  let cap = Frame_ring.frame_events t.rings.(0) in
+  let buf = Array.make cap Event.Program_end in
+  let codes = Array.make cap 0 in
+  let fill = ref 0 in
+  let flush_batch () =
+    if !fill > 0 then begin
+      let n = !fill in
+      fill := 0;
+      route_batch t buf codes n
+    end
+  in
+  Sink.make ~name:sink_name
+    ~on_event:(fun ev ->
+      buf.(!fill) <- ev;
+      incr fill;
+      if !fill = cap then flush_batch ())
+    ~finish:(fun () ->
+      flush_batch ();
+      finish t)

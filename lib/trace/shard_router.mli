@@ -1,27 +1,23 @@
 (** Sharded, domain-parallel detection.
 
     A {!sink} fans the event stream out across [shards] workers, each
-    owning its own bookkeeping and rule state, fed through bounded SPSC
-    transports on OCaml Domains (or run inline for deterministic
+    owning its own bookkeeping and rule state, fed through bounded
+    {!Frame_ring}s on OCaml Domains (or run inline for deterministic
     single-domain execution). Cache line [L] belongs to shard
     [L mod shards]; global events — fences, epochs, strands,
     registrations, program end — are broadcast to every worker in
     stream order, so shard [s] observes exactly the subsequence of the
     trace touching its lines, in trace order.
 
-    {b Transport.} By default the hand-off is {e frame-batched}
-    ({!Frame_ring}): the router encodes each routed event into the
-    destination shard's flat staging buffer — no per-event allocation —
-    and publishes a whole frame of [frame_size] events with one atomic
-    store; the worker decodes and dispatches a frame at a time, bumping
-    its progress counter once per frame. [frame_size = 0] selects the
-    legacy per-event {!Spsc} hand-off (one boxed message and one
-    sequentially consistent store per event), kept as the measured
-    baseline: BENCH_pr5 showed it capping 4-shard throughput at 0.63×
-    the single-shard run on a 4-core host. Cross-shard barriers flush
-    every shard's partial frame before waiting on worker progress, so a
-    stall observes every event routed before it; [finish] flushes the
-    final partial frames before delivering the stop marker. Routing
+    {b Transport.} The hand-off is {e frame-batched}: the router
+    encodes each routed event into the destination shard's flat staging
+    buffer — no per-event allocation — and publishes a whole frame of
+    [frame_size] events with one atomic store; the worker decodes and
+    dispatches a frame at a time, bumping its progress counter once per
+    frame. Cross-shard barriers flush every shard's partial frame
+    before waiting on worker progress, so a stall observes every event
+    routed before it; [finish] flushes the final partial frames before
+    delivering the stop marker. Routing
     itself is vectorized over the staged batch: one classification pass
     turns a run of events into int target codes (shard id, broadcast,
     drop, pinned-broadcast) and a second pass dispatches the run
@@ -59,7 +55,7 @@
     {b Equality contract.} The merged report's findings, causal chains
     and failure status are byte-identical (per
     {!Bug.render_canonical}) to the [shards = 1] run — for {e every}
-    transport and frame size, which the QCheck parity suites enforce —
+    frame size, which the QCheck parity suites enforce —
     provided workers are created with [~walk_dedup:false] (the merge
     performs the pending-walk dedup globally), bookkeeping stays below
     the spill-tree merge threshold and the array capacity
@@ -119,39 +115,34 @@ val sink :
   ?name:string ->
   shards:int ->
   ?queue_capacity:int
-    (** per-shard in-flight events, default 1024. With the framed
-        transport this sizes the ring at
+    (** per-shard in-flight events, default 1024: the ring gets
         [queue_capacity / frame_size] frame slots (min 2). *) ->
   ?frame_size:int
     (** events per published frame, default {!default_frame_size};
-        [0] selects the per-event transport. *) ->
+        must be at least 1. *) ->
   ?domains:bool
     (** default true: one OCaml Domain per shard. [false] runs every
-        worker inline on the caller's domain — the framed transport
-        still encodes, publishes and decodes through the ring (frames
-        are consumed synchronously at each publish), so frame
-        boundaries match the domain run while scheduling stays
-        deterministic. *) ->
+        worker inline on the caller's domain — events still encode,
+        publish and decode through the ring (frames are consumed
+        synchronously at each publish), so frame boundaries match the
+        domain run while scheduling stays deterministic. *) ->
   ?metrics:Obs.Metrics.t
     (** router-side registry: receives [shard_events_total{shard}]
-        (bumped per event, or per published frame by its event count),
+        (bumped per published frame by its event count),
         [shard_barrier_stalls_total] and
-        [shard_queue_depth_peak{shard}] — sampled on each shard's own
-        push cadence (first push, then every 64th; per published frame
-        under the framed transport, in {e frames}), plus a final
-        sample before the stop is delivered. Each worker domain also
-        gets its own private registry (enabled iff this one is)
-        recording [shard_worker_events_total{shard}] and a latency
-        histogram — [shard_worker_event_seconds{shard}] per event, or
-        [shard_worker_frame_seconds{shard}] per decoded frame under
-        the framed transport; those are {!Obs.Metrics.absorb}ed into
-        this registry when the sink finishes and the workers have
-        joined, so the final snapshot is whole-run truth across
-        domains.
+        [shard_queue_depth_peak{shard}] — sampled at each published
+        frame, in {e frames}, plus a final sample before the stop is
+        delivered. Each worker domain also gets its own private
+        registry (enabled iff this one is) recording
+        [shard_worker_events_total{shard}] and the per-frame latency
+        histogram [shard_worker_frame_seconds{shard}]; those are
+        {!Obs.Metrics.absorb}ed into this registry when the sink
+        finishes and the workers have joined, so the final snapshot is
+        whole-run truth across domains.
 
-        Under the framed transport the registries also attribute each
-        frame's life to stages, all timed against {!Obs.Clock} (the
-        clock {!Frame_ring} stamps frames with at publish):
+        The registries also attribute each frame's life to stages, all
+        timed against {!Obs.Clock} (the clock {!Frame_ring} stamps
+        frames with at publish):
         [shard_encode_seconds{shard}] (router side: per-event push time
         accumulated since the shard's previous publish, including any
         full-ring wait), [shard_frame_residency_seconds{shard}] (publish

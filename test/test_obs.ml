@@ -134,6 +134,62 @@ let test_quantile_interpolation_pinned () =
       | _ -> Alcotest.fail "histogram lost in round-trip")
   | Error msg -> Alcotest.fail msg
 
+(* Regression: the daemon's session histogram uses these bounds, and a
+   lone 14.49 s session read back as p50 = 35 s — the midpoint of its
+   (10, 60] bucket, far above anything ever observed. Quantiles now
+   stay inside the observed range, through merges and JSON too. *)
+let e2e_bounds = [| 0.001; 0.005; 0.02; 0.1; 0.5; 2.0; 10.0; 60.0 |]
+
+let test_quantile_within_observed_range () =
+  let h = M.hist_create ~bounds:e2e_bounds () in
+  M.hist_observe h 14.49;
+  let v = M.hist_view h in
+  Alcotest.(check (float 1e-9)) "p50 of one observation is that observation" 14.49 (M.quantile v 0.5);
+  Alcotest.(check (float 1e-9)) "p0 is the min" 14.49 (M.quantile v 0.0);
+  Alcotest.(check (float 1e-9)) "min tracked" 14.49 v.M.h_min;
+  let empty = M.hist_view (M.hist_create ~bounds:e2e_bounds ()) in
+  let merged = M.merge_views empty v in
+  Alcotest.(check (float 1e-9)) "an empty side does not pull the min to 0" 14.49 merged.M.h_min;
+  let other = M.hist_create ~bounds:e2e_bounds () in
+  M.hist_observe other 12.0;
+  let both = M.merge_views v (M.hist_view other) in
+  Alcotest.(check (float 1e-9)) "merge takes the min of mins" 12.0 both.M.h_min;
+  Alcotest.(check (float 1e-9)) "merge takes the max of maxes" 14.49 both.M.h_max;
+  let t = M.create () in
+  M.observe t ~bounds:e2e_bounds "serve_session_e2e_seconds" 14.49;
+  match M.snapshot_of_json (M.to_json t) with
+  | Ok snap -> (
+      match M.find snap "serve_session_e2e_seconds" with
+      | Some (M.V_hist r) ->
+          Alcotest.(check (float 1e-9)) "min round-trips" 14.49 r.M.h_min;
+          Alcotest.(check (float 1e-9)) "p50 after the round-trip" 14.49 (M.quantile r 0.5)
+      | _ -> Alcotest.fail "histogram lost in the round-trip")
+  | Error e -> Alcotest.fail e
+
+let quantile_arb =
+  QCheck.make
+    ~print:QCheck.Print.(triple (list float) float float)
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 1 40) (float_bound_inclusive 100.0))
+        (float_bound_inclusive 1.0) (float_bound_inclusive 1.0))
+
+let view_of obs =
+  let h = M.hist_create ~bounds:[| 1.0; 2.0; 5.0; 10.0; 20.0; 50.0 |] () in
+  List.iter (M.hist_observe h) obs;
+  M.hist_view h
+
+let prop_quantile_in_observed_range =
+  QCheck.Test.make ~name:"quantile stays within [min, max]" ~count:300 quantile_arb (fun (obs, q, _) ->
+      let v = view_of obs in
+      let x = M.quantile v q in
+      List.fold_left Float.min infinity obs <= x && x <= List.fold_left Float.max neg_infinity obs)
+
+let prop_quantile_monotone =
+  QCheck.Test.make ~name:"quantile is monotone in q" ~count:300 quantile_arb (fun (obs, q1, q2) ->
+      let v = view_of obs in
+      M.quantile v (Float.min q1 q2) <= M.quantile v (Float.max q1 q2))
+
 let test_quantiles () =
   let h = M.hist_create ~bounds:[| 1.0; 2.0; 3.0; 4.0 |] () in
   for v = 1 to 4 do
@@ -779,6 +835,9 @@ let suite =
     Alcotest.test_case "histogram-buckets" `Quick test_histogram_buckets;
     Alcotest.test_case "quantiles" `Quick test_quantiles;
     Alcotest.test_case "quantile-interpolation-pinned" `Quick test_quantile_interpolation_pinned;
+    Alcotest.test_case "quantile within the observed range" `Quick test_quantile_within_observed_range;
+    QCheck_alcotest.to_alcotest prop_quantile_in_observed_range;
+    QCheck_alcotest.to_alcotest prop_quantile_monotone;
     Alcotest.test_case "snapshot-determinism" `Quick test_snapshot_determinism;
     Alcotest.test_case "metrics-json-valid" `Quick test_metrics_json_valid;
     Alcotest.test_case "disabled-noop" `Quick test_disabled_noop;

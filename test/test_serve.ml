@@ -1,5 +1,5 @@
-(* The serving daemon: Spsc close/poison semantics, Engine.finish_all
-   fault containment, the shared exit-code table, the wire protocol
+(* The serving daemon: close semantics of the per-session frame ring,
+   Engine.finish_all fault containment, the shared exit-code table, the wire protocol
    (parse + QCheck round-trip), the socket-free session state machine,
    the inline worker pool, the 8-client fault-tolerance gate over a
    real Unix-domain socket, and a protocol fuzz through Client.raw. *)
@@ -11,61 +11,74 @@ let canon (r : Bug.report) =
   Bug.render_canonical { r with Bug.bugs = List.sort Bug.compare_canonical r.Bug.bugs }
 
 (* ---------------------------------------------------------------- *)
-(* Spsc close / poison                                               *)
+(* The per-session SPSC ring (Frame_ring): close semantics          *)
 (* ---------------------------------------------------------------- *)
 
-let test_spsc_close_poisons_producer () =
-  let q = Spsc.create ~capacity:2 in
-  Spsc.push q 1;
-  Spsc.push q 2;
-  Alcotest.(check bool) "try_push full" false (Spsc.try_push q 3);
-  Spsc.close q;
-  Alcotest.(check bool) "is_closed" true (Spsc.is_closed q);
-  Spsc.close q (* idempotent *);
+let fence i = Event.Fence { tid = i }
+
+let raises_closed f = match f () with exception Frame_ring.Closed -> true | _ -> false
+
+(* Close semantics, which the serve pool relies on for worker death:
+   closing is idempotent, and every producer operation raises once the
+   ring is closed — blocking or not. *)
+let test_frame_close_poisons_producer () =
+  let ring = Frame_ring.create ~slots:2 ~frame_events:1 () in
+  ignore (Frame_ring.push ring ~seq:1 ~silent:false (fence 1));
+  ignore (Frame_ring.push ring ~seq:2 ~silent:false (fence 2));
+  Alcotest.(check bool) "try_push on a full ring" false (Frame_ring.try_push ring ~seq:3 ~silent:false (fence 3));
+  Alcotest.(check bool) "try_push_stop on a full ring" false (Frame_ring.try_push_stop ring);
+  Frame_ring.close ring;
+  Alcotest.(check bool) "is_closed" true (Frame_ring.is_closed ring);
+  Frame_ring.close ring (* idempotent *);
   Alcotest.(check bool) "push raises Closed" true
-    (match Spsc.push q 3 with exception Spsc.Closed -> true | () -> false);
+    (raises_closed (fun () -> Frame_ring.push ring ~seq:3 ~silent:false (fence 3)));
   Alcotest.(check bool) "try_push raises Closed" true
-    (match Spsc.try_push q 3 with exception Spsc.Closed -> true | _ -> false)
+    (raises_closed (fun () -> Frame_ring.try_push ring ~seq:3 ~silent:false (fence 3)));
+  Alcotest.(check bool) "push_stop raises Closed" true (raises_closed (fun () -> Frame_ring.push_stop ring));
+  Alcotest.(check bool) "try_push_stop raises Closed" true
+    (raises_closed (fun () -> Frame_ring.try_push_stop ring))
 
-let test_spsc_pop_drains_then_closed () =
-  let q = Spsc.create ~capacity:4 in
-  Spsc.push q 10;
-  Spsc.push q 11;
-  Spsc.close q;
-  Alcotest.(check int) "drain 1" 10 (Spsc.pop q);
-  Alcotest.(check int) "drain 2" 11 (Spsc.pop q);
-  Alcotest.(check bool) "try_pop on drained closed queue is None" true (Spsc.try_pop q = None);
-  Alcotest.(check bool) "pop raises Closed once drained" true
-    (match Spsc.pop q with exception Spsc.Closed -> true | _ -> false)
+let test_frame_close_drains_then_raises () =
+  let ring = Frame_ring.create ~slots:4 ~frame_events:2 () in
+  for i = 1 to 5 do
+    ignore (Frame_ring.push ring ~seq:i ~silent:false (fence i))
+  done;
+  (* Events 1-4 are published in two frames; event 5 is only staged. *)
+  Frame_ring.close ring;
+  let seqs = ref [] in
+  let f ~seq ~silent:_ _ = seqs := seq :: !seqs in
+  Alcotest.(check bool) "first frame" true (Frame_ring.consume ring ~f = `Frame 2);
+  Alcotest.(check bool) "second frame" true (Frame_ring.consume ring ~f = `Frame 2);
+  Alcotest.(check (list int)) "published events survive the close" [ 1; 2; 3; 4 ] (List.rev !seqs);
+  Alcotest.(check bool) "try_consume on a drained closed ring" true (Frame_ring.try_consume ring ~f = `Empty);
+  Alcotest.(check bool) "consume raises Closed once drained" true (raises_closed (fun () -> Frame_ring.consume ring ~f))
 
-(* A producer blocked on a full queue must be woken by close — a dead
+(* A producer blocked on a full ring must be woken by close — a dead
    consumer can never wedge the daemon's dispatch domain. *)
-let test_spsc_close_wakes_blocked_producer () =
-  let q = Spsc.create ~capacity:2 in
+let test_frame_close_wakes_blocked_producer () =
+  let ring = Frame_ring.create ~slots:2 ~frame_events:1 () in
   let producer =
     Domain.spawn (fun () ->
-        match
-          for i = 0 to 4 do
-            Spsc.push q i
-          done
-        with
-        | () -> false
-        | exception Spsc.Closed -> true)
+        raises_closed (fun () ->
+            for i = 1 to 5 do
+              ignore (Frame_ring.push ring ~seq:i ~silent:false (fence i))
+            done))
   in
-  (* Let the producer fill the queue and block on the third push. *)
+  (* Let the producer fill the ring and block on the third push. *)
   Unix.sleepf 0.05;
-  Spsc.close q;
+  Frame_ring.close ring;
   Alcotest.(check bool) "blocked producer observed Closed" true (Domain.join producer);
-  Alcotest.(check int) "published elements survive" 0 (Spsc.pop q);
-  Alcotest.(check int) "published elements survive" 1 (Spsc.pop q)
+  let seqs = ref [] in
+  let f ~seq ~silent:_ _ = seqs := seq :: !seqs in
+  ignore (Frame_ring.consume ring ~f);
+  ignore (Frame_ring.consume ring ~f);
+  Alcotest.(check (list int)) "published frames survive" [ 1; 2 ] (List.rev !seqs)
 
-let test_spsc_close_wakes_blocked_consumer () =
-  let q : int Spsc.t = Spsc.create ~capacity:2 in
-  let consumer =
-    Domain.spawn (fun () -> match Spsc.pop q with exception Spsc.Closed -> true | _ -> false)
-  in
+let test_frame_close_wakes_blocked_consumer () =
+  let ring = Frame_ring.create ~slots:2 ~frame_events:4 () in
+  let consumer = Domain.spawn (fun () -> raises_closed (fun () -> Frame_ring.wait ring)) in
   Unix.sleepf 0.05;
-  Spsc.close q;
+  Frame_ring.close ring;
   Alcotest.(check bool) "blocked consumer observed Closed" true (Domain.join consumer)
 
 (* ---------------------------------------------------------------- *)
@@ -324,14 +337,23 @@ let bug_trace_events =
     Event.Program_end;
   ]
 
+(* Inline mode consumes every published frame synchronously, so the
+   ring never fills and every non-blocking offer succeeds. *)
+let submit pool slot ev = Alcotest.(check bool) "inline ring never full" true (Serve.Pool.try_submit pool slot ev)
+
 let test_pool_inline_roundtrip () =
   let pool =
-    Serve.Pool.create ~domains:false ~workers:2 ~queue_capacity:64 (fun ~heatmap:_ ->
+    Serve.Pool.create ~domains:false ~wake:ignore ~workers:2 (fun ~heatmap:_ ->
         D.sink (D.create ~model:D.Strict ()))
   in
   let slot = Serve.Pool.open_session pool ~id:3 in
-  List.iter (fun ev -> Serve.Pool.submit pool ~id:3 ev) bug_trace_events;
-  Serve.Pool.finish_session pool ~id:3;
+  List.iter (submit pool slot) bug_trace_events;
+  Alcotest.(check int) "staged events count as queued" (List.length bug_trace_events)
+    (Serve.Pool.queue_length slot);
+  Serve.Pool.flush pool slot;
+  Alcotest.(check int) "a flush hands everything to the worker" 0 (Serve.Pool.queue_length slot);
+  Alcotest.(check bool) "no result before the end-of-stream frame" true (Serve.Pool.result slot = None);
+  Alcotest.(check bool) "finish accepted" true (Serve.Pool.try_finish pool slot);
   (match Serve.Pool.result slot with
   | None -> Alcotest.fail "inline pool produced no report"
   | Some report ->
@@ -341,11 +363,15 @@ let test_pool_inline_roundtrip () =
 
 let test_pool_inline_detector_failure () =
   let boom = Sink.make ~name:"boom" ~on_event:(fun _ -> failwith "detector exploded") ~finish:(fun () -> Bug.empty_report "boom") in
-  let pool = Serve.Pool.create ~domains:false ~workers:1 ~queue_capacity:64 (fun ~heatmap:_ -> boom) in
+  let wakes = ref 0 in
+  let pool = Serve.Pool.create ~domains:false ~wake:(fun () -> incr wakes) ~workers:1 (fun ~heatmap:_ -> boom) in
   let slot = Serve.Pool.open_session pool ~id:0 in
-  Serve.Pool.submit pool ~id:0 (Event.Store { addr = 0; size = 8; tid = 0 });
+  submit pool slot (Event.Store { addr = 0; size = 8; tid = 0 });
+  Serve.Pool.flush pool slot;
   Alcotest.(check bool) "failure surfaces in the slot" true (Serve.Pool.failed slot <> None);
-  Serve.Pool.finish_session pool ~id:0;
+  Alcotest.(check int) "the failure woke the dispatcher" 1 !wakes;
+  Alcotest.(check bool) "finish accepted" true (Serve.Pool.try_finish pool slot);
+  Alcotest.(check int) "the result woke the dispatcher" 2 !wakes;
   (match Serve.Pool.result slot with
   | Some report -> Alcotest.(check bool) "report carries the failure" true (report.Bug.failure <> None)
   | None -> Alcotest.fail "no report after finish");
@@ -565,6 +591,113 @@ let test_gate_detector_quarantine_isolated () =
 (* stats_stream: live merged-snapshot frames                          *)
 (* ---------------------------------------------------------------- *)
 
+(* ---------------------------------------------------------------- *)
+(* Wake-ups: neither a full ring nor a finished report waits for the  *)
+(* select tick.                                                        *)
+(* ---------------------------------------------------------------- *)
+
+let memcached_trace n =
+  Recorder.record (fun e -> Workloads.Memcached.spec.Workloads.Workload.run (Workloads.Workload.params ~n ()) e)
+
+let wait_until ~what cond =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while not (cond ()) do
+    if Unix.gettimeofday () > deadline then Alcotest.failf "timed out waiting for %s" what;
+    Unix.sleepf 0.0005
+  done
+
+(* A worker domain held on its first event lets the dispatch side fill
+   the session's ring; releasing it must produce a wake-up once the
+   ring has drained, and every later stall likewise ends with a wake. *)
+let test_pool_wakes_on_drain () =
+  let trace = memcached_trace 1000 in
+  let gate = Atomic.make false in
+  let woken = Atomic.make 0 in
+  let pool =
+    Serve.Pool.create ~wake:(fun () -> Atomic.incr woken) ~workers:1 (fun ~heatmap:_ ->
+        let inner = D.sink (D.create ~model:D.Strict ()) in
+        Sink.make ~name:inner.Sink.name
+          ~on_event:(fun ev ->
+            while not (Atomic.get gate) do
+              Domain.cpu_relax ()
+            done;
+            inner.Sink.on_event ev)
+          ~finish:inner.Sink.finish)
+  in
+  let slot = Serve.Pool.open_session pool ~id:0 in
+  let stalls = ref 0 in
+  let offer attempt =
+    let seen = Atomic.get woken in
+    if not (attempt ()) then begin
+      incr stalls;
+      Atomic.set gate true;
+      wait_until ~what:"the drain wake-up" (fun () -> Atomic.get woken > seen);
+      false
+    end
+    else true
+  in
+  Array.iter
+    (fun ev ->
+      while not (offer (fun () -> Serve.Pool.try_submit pool slot ev)) do
+        ()
+      done)
+    trace;
+  Serve.Pool.flush pool slot;
+  while not (offer (fun () -> Serve.Pool.try_finish pool slot)) do
+    ()
+  done;
+  wait_until ~what:"the result" (fun () -> Serve.Pool.result slot <> None);
+  Alcotest.(check bool) "the held worker made the ring fill" true (!stalls > 0);
+  (match Serve.Pool.result slot with
+  | Some r ->
+      Alcotest.(check string) "report equals offline replay"
+        (canon (Recorder.replay trace (D.sink (D.create ~model:D.Strict ()))))
+        (canon r)
+  | None -> Alcotest.fail "no result");
+  Serve.Pool.stop pool
+
+(* With a 5 s tick, a session that fills its ring ~20 times and a short
+   one that only waits for its report both return well under one tick:
+   every hand-over and the result are driven by worker wake-ups. The
+   wake bytes share the self-pipe with stop requests and must never
+   read as one — the daemon keeps serving afterwards. *)
+let test_daemon_wakes_not_ticks () =
+  let socket = temp_socket () in
+  let cfg = { (Serve.Daemon.default_config ~socket) with Serve.Daemon.workers = 1; tick = 5.0 } in
+  let daemon =
+    Serve.Daemon.create ~metrics:(Obs.Metrics.create ())
+      ~make_sink:(fun ~heatmap:_ -> D.sink (D.create ~model:D.Strict ()))
+      cfg
+  in
+  let handle = Domain.spawn (fun () -> Serve.Daemon.run daemon) in
+  wait_until ~what:"the daemon socket" (fun () -> Sys.file_exists socket);
+  let session name trace =
+    let expected = canon (Recorder.replay trace (D.sink (D.create ~model:D.Strict ()))) in
+    let t0 = Unix.gettimeofday () in
+    let r = Serve.Client.replay_string ~socket ~name (Trace_io.to_string trace) in
+    let dt = Unix.gettimeofday () -. t0 in
+    (match r with
+    | Error e -> Alcotest.failf "%s: %s" name e
+    | Ok frame -> (
+        Alcotest.(check bool) (name ^ " status ok") true (frame.Serve.Wire.status = Serve.Status.Ok);
+        match frame.Serve.Wire.report with
+        | Some r -> Alcotest.(check string) (name ^ " equals offline replay") expected (canon r)
+        | None -> Alcotest.failf "%s: no report" name));
+    if dt >= 1.0 then Alcotest.failf "%s (%d events) took %.2fs with a 5s tick" name (Array.length trace) dt
+  in
+  let long = memcached_trace 9000 in
+  Alcotest.(check bool) "long session has at least 20k events" true (Array.length long >= 20_000);
+  session "long" long;
+  let short = memcached_trace 130 in
+  session "short" short;
+  (match Serve.Client.stats ~socket with
+  | Ok snap ->
+      Alcotest.(check int) "daemon still serving after the wake bytes" 2
+        (Obs.Metrics.counter_value snap ~labels:[ ("status", "ok") ] "serve_sessions_closed_total")
+  | Error e -> Alcotest.fail ("stats after the wake-ups: " ^ e));
+  (match Serve.Client.stop ~socket with Ok () -> () | Error e -> Alcotest.fail ("stop: " ^ e));
+  Domain.join handle
+
 let test_stats_stream_follow () =
   let socket = temp_socket () in
   let metrics = Obs.Metrics.create () in
@@ -755,10 +888,10 @@ let test_fuzz_protocol () =
 
 let suite =
   [
-    Alcotest.test_case "spsc close poisons producer side" `Quick test_spsc_close_poisons_producer;
-    Alcotest.test_case "spsc pop drains then raises Closed" `Quick test_spsc_pop_drains_then_closed;
-    Alcotest.test_case "spsc close wakes a blocked producer" `Quick test_spsc_close_wakes_blocked_producer;
-    Alcotest.test_case "spsc close wakes a blocked consumer" `Quick test_spsc_close_wakes_blocked_consumer;
+    Alcotest.test_case "spsc close poisons producer side" `Quick test_frame_close_poisons_producer;
+    Alcotest.test_case "spsc pop drains then raises Closed" `Quick test_frame_close_drains_then_raises;
+    Alcotest.test_case "spsc close wakes a blocked producer" `Quick test_frame_close_wakes_blocked_producer;
+    Alcotest.test_case "spsc close wakes a blocked consumer" `Quick test_frame_close_wakes_blocked_consumer;
     Alcotest.test_case "finish_all survives a raising finish" `Quick test_finish_all_survives_raising_finish;
     Alcotest.test_case "status exit-code table" `Quick test_status_exit_codes;
     Alcotest.test_case "wire parse_hello" `Quick test_wire_parse_hello;
@@ -774,6 +907,8 @@ let suite =
     Alcotest.test_case "pool inline detector failure" `Quick test_pool_inline_detector_failure;
     Alcotest.test_case "gate: 8 clients, 2 misbehaving" `Quick test_gate_eight_clients_two_misbehaving;
     Alcotest.test_case "gate: detector quarantine is isolated" `Quick test_gate_detector_quarantine_isolated;
+    Alcotest.test_case "pool wakes the dispatcher on drain" `Quick test_pool_wakes_on_drain;
+    Alcotest.test_case "daemon wakes on drain and result, not on the tick" `Quick test_daemon_wakes_not_ticks;
     Alcotest.test_case "stats_stream follow" `Quick test_stats_stream_follow;
     Alcotest.test_case "heatmap verb and shutdown trace" `Quick test_heatmap_verb_and_shutdown_trace;
     Alcotest.test_case "protocol fuzz" `Quick test_fuzz_protocol;

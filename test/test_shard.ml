@@ -1,4 +1,4 @@
-(* The sharded detection pipeline: SPSC queue, router parity against
+(* The sharded detection pipeline: the frame ring, router parity against
    the single-detector run (the equality contract), cross-shard
    prior-seq merging, finish_all ordering and the flat baseline
    backend. *)
@@ -18,98 +18,6 @@ let replay_plain ?mode ?backend ?(model = D.Strict) trace =
 let replay_sharded ?mode ?(model = D.Strict) ?(domains = false) ?frame_size ~shards trace =
   Recorder.replay trace
     (Shard_router.sink ~shards ~domains ?frame_size (fun _ -> D.worker (D.create ~model ?mode ~walk_dedup:false ())))
-
-(* ---------------------------------------------------------------- *)
-(* SPSC queue                                                        *)
-(* ---------------------------------------------------------------- *)
-
-let test_spsc_fifo () =
-  let q = Spsc.create ~capacity:5 in
-  Alcotest.(check int) "capacity rounds up to a power of two" 8 (Spsc.capacity q);
-  for i = 0 to 5 do
-    Spsc.push q i
-  done;
-  Alcotest.(check int) "length" 6 (Spsc.length q);
-  for i = 0 to 5 do
-    match Spsc.try_pop q with
-    | Some v -> Alcotest.(check int) "FIFO order" i v
-    | None -> Alcotest.fail "queue empty too early"
-  done;
-  Alcotest.(check bool) "drained" true (Spsc.try_pop q = None)
-
-let test_spsc_wraparound () =
-  let q = Spsc.create ~capacity:4 in
-  for round = 0 to 20 do
-    Spsc.push q (2 * round);
-    Spsc.push q ((2 * round) + 1);
-    Alcotest.(check int) "pop even" (2 * round) (Spsc.pop q);
-    Alcotest.(check int) "pop odd" ((2 * round) + 1) (Spsc.pop q)
-  done;
-  Alcotest.(check int) "empty" 0 (Spsc.length q)
-
-(* A queue much smaller than the payload forces both the full-queue
-   and the empty-queue backoff paths across a real domain boundary. *)
-let test_spsc_cross_domain () =
-  let n = 50_000 in
-  let q = Spsc.create ~capacity:64 in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 1 to n do
-          Spsc.push q i
-        done)
-  in
-  let ok = ref true in
-  for i = 1 to n do
-    if Spsc.pop q <> i then ok := false
-  done;
-  Domain.join producer;
-  Alcotest.(check bool) "every element, in order" true !ok;
-  Alcotest.(check bool) "empty after" true (Spsc.try_pop q = None)
-
-(* Close-race exact delivery (regression): the producer's push used to
-   re-check [closed] only while the ring was full, so a push racing a
-   consumer-side close on a non-full ring could return normally yet
-   publish an element no drain would ever see — the router then counts
-   a pushed event its worker never processed. Now a push that returns
-   normally is guaranteed visible to a closer's final drain (pop drains
-   before raising Closed), so the consumer's tally can never fall short
-   of the producer's success count; it can exceed it by at most the one
-   in-flight push that raised after its publishing store. *)
-let test_spsc_close_race_exact_delivery () =
-  for _round = 1 to 50 do
-    let q = Spsc.create ~capacity:4 in
-    let producer =
-      Domain.spawn (fun () ->
-          let successes = ref 0 in
-          (try
-             while true do
-               Spsc.push q !successes;
-               incr successes
-             done
-           with Spsc.Closed -> ());
-          !successes)
-    in
-    let consumed = ref 0 in
-    (try
-       (* A worker-style consumer: pop a while, then tear the stream
-          down mid-flight and keep popping — [pop] drains what was
-          published before raising [Closed]. *)
-       while !consumed < 100 do
-         ignore (Spsc.pop q);
-         incr consumed
-       done;
-       Spsc.close q;
-       while true do
-         ignore (Spsc.pop q);
-         incr consumed
-       done
-     with Spsc.Closed -> ());
-    let successes = Domain.join producer in
-    if !consumed < successes then
-      Alcotest.failf "silent loss: producer delivered %d but consumer saw only %d" successes !consumed;
-    if !consumed > successes + 1 then
-      Alcotest.failf "over-delivery: producer delivered %d but consumer saw %d" successes !consumed
-  done
 
 (* ---------------------------------------------------------------- *)
 (* Frame_ring: the batched transport                                 *)
@@ -347,6 +255,74 @@ let test_frame_pub_ts_cross_domain () =
   Alcotest.(check bool) "stamps non-decreasing across domains" true !ok;
   Alcotest.(check bool) "saw many frames" true (!frames > 100)
 
+(* Close semantics (idempotence, producer poisoning, drain-then-raise,
+   wake-ups) are exercised in the serve suite, where the daemon's
+   per-session rings depend on them. *)
+let fence i = Event.Fence { tid = i }
+
+let raises_closed f = match f () with exception Frame_ring.Closed -> true | _ -> false
+
+(* Exact delivery under a cross-domain close race: a publish that
+   returns normally is always seen by the closer's final drain, so the
+   consumer's tally never falls short of the producer's; it can exceed
+   it by at most the one frame whose publish raised after its store. *)
+let test_frame_close_race_exact_delivery () =
+  let frame_events = 3 in
+  for _round = 1 to 50 do
+    let ring = Frame_ring.create ~slots:4 ~frame_events () in
+    let producer =
+      Domain.spawn (fun () ->
+          let delivered = ref 0 in
+          (try
+             for i = 1 to max_int do
+               delivered := !delivered + Frame_ring.push ring ~seq:i ~silent:false (fence i)
+             done
+           with Frame_ring.Closed -> ());
+          !delivered)
+    in
+    let consumed = ref 0 in
+    let f ~seq:_ ~silent:_ _ = incr consumed in
+    (try
+       (* A worker-style consumer: consume a while, then tear the stream
+          down mid-flight and keep consuming — [consume] drains what was
+          published before raising [Closed]. *)
+       while !consumed < 100 do
+         ignore (Frame_ring.consume ring ~f)
+       done;
+       Frame_ring.close ring;
+       while true do
+         ignore (Frame_ring.consume ring ~f)
+       done
+     with Frame_ring.Closed -> ());
+    let delivered = Domain.join producer in
+    if !consumed < delivered then
+      Alcotest.failf "silent loss: producer published %d but consumer saw only %d" delivered !consumed;
+    if !consumed > delivered + frame_events then
+      Alcotest.failf "over-delivery: producer published %d but consumer saw %d" delivered !consumed
+  done
+
+(* The non-blocking push succeeds exactly when [push] would not wait.
+   Byte-full staging needs two free slots — the full frame publishes
+   and the event opens the next — so it must refuse up front rather
+   than publish and then block. *)
+let test_frame_try_push_byte_full () =
+  (* 40-byte slots hold two 17-byte fence records. *)
+  let ring = Frame_ring.create ~frame_bytes:40 ~slots:2 ~frame_events:8 () in
+  let try_push i = Frame_ring.try_push ring ~seq:i ~silent:false (fence i) in
+  Alcotest.(check (list bool)) "four events fit" [ true; true; true; true ] (List.map try_push [ 1; 2; 3; 4 ]);
+  Alcotest.(check int) "one byte-full frame published" 1 (Frame_ring.length ring);
+  Alcotest.(check bool) "fifth would publish into a full ring" false (try_push 5);
+  Alcotest.(check int) "refusal staged nothing" 2 (Frame_ring.staged ring);
+  Alcotest.(check int) "refusal published nothing" 1 (Frame_ring.length ring);
+  let seqs = ref [] in
+  let f ~seq ~silent:_ _ = seqs := seq :: !seqs in
+  ignore (Frame_ring.try_consume ring ~f);
+  Alcotest.(check bool) "room after a consume" true (try_push 5);
+  Frame_ring.push_stop ring;
+  let rec drain () = match Frame_ring.try_consume ring ~f with `Stop _ -> () | _ -> drain () in
+  drain ();
+  Alcotest.(check (list int)) "every event once, in order" [ 1; 2; 3; 4; 5 ] (List.rev !seqs)
+
 (* Overhead guard for the stage-attribution path: with metrics
    disabled, routing through the framed transport pays one branch per
    frame and zero timing calls — an absolute bound on 200k events
@@ -526,7 +502,7 @@ let test_depth_gauge_on_small_runs () =
             Alcotest.failf "no depth peak for shard %s under frame_size %d (<64 events routed)" shard
               frame_size)
         [ "0"; "1" ])
-    [ 0; Shard_router.default_frame_size ]
+    [ 1; Shard_router.default_frame_size ]
 
 (* ---------------------------------------------------------------- *)
 (* QCheck parity: random traces, sharded vs single                   *)
@@ -623,13 +599,11 @@ let prop_parity_domains =
       canon (Recorder.replay trace (Shard_router.sink ~shards:2 (fun _ -> D.worker (D.create ~walk_dedup:false ())))) = expected)
 
 (* Frame-transport parity: the batched hand-off must stay byte-identical
-   to the per-event transport and the single-shard run for every frame
-   size — including fs 1 (a frame per event) and fs 4096 (the whole
-   trace staged until a barrier or finish flushes it). fs 0 is the
-   per-event transport itself, pinning the two transports to the same
-   contract. *)
+   to the single-shard run for every frame size — including fs 1 (a
+   frame per event) and fs 4096 (the whole trace staged until a barrier
+   or finish flushes it). *)
 let prop_parity_frame_sizes =
-  QCheck.Test.make ~name:"framed transport parity (frame sizes 0/1/7/64/4096 x 2/4/8 shards)" ~count:15
+  QCheck.Test.make ~name:"framed transport parity (frame sizes 1/7/64/4096 x 2/4/8 shards)" ~count:15
     gen_trace (fun input ->
       let trace = trace_of input in
       let expected = canon (replay_plain trace) in
@@ -638,7 +612,7 @@ let prop_parity_frame_sizes =
           List.for_all
             (fun shards -> canon (replay_sharded ~frame_size ~shards trace) = expected)
             [ 2; 4; 8 ])
-        [ 0; 1; 7; 64; 4096 ])
+        [ 1; 7; 64; 4096 ])
 
 let prop_parity_frames_domains =
   QCheck.Test.make ~name:"framed transport parity (real domains, frame sizes 7 and 4096)" ~count:4 gen_trace
@@ -780,10 +754,6 @@ let test_diff_gauge_added () =
 
 let suite =
   [
-    Alcotest.test_case "spsc: fifo and capacity" `Quick test_spsc_fifo;
-    Alcotest.test_case "spsc: ring wraparound" `Quick test_spsc_wraparound;
-    Alcotest.test_case "spsc: cross-domain ordering" `Quick test_spsc_cross_domain;
-    Alcotest.test_case "spsc: close race loses nothing" `Quick test_spsc_close_race_exact_delivery;
     Alcotest.test_case "frame ring: all constructors roundtrip" `Quick test_frame_roundtrip;
     Alcotest.test_case "frame ring: boundary publish and stop with partial frame" `Quick
       test_frame_boundary_and_stop_partial;
@@ -796,6 +766,9 @@ let suite =
     Alcotest.test_case "frame ring: cross-domain ordering" `Quick test_frame_cross_domain;
     QCheck_alcotest.to_alcotest prop_pub_ts_nondecreasing;
     Alcotest.test_case "frame ring: publish stamps across domains" `Quick test_frame_pub_ts_cross_domain;
+    Alcotest.test_case "frame ring: close race loses nothing" `Quick test_frame_close_race_exact_delivery;
+    Alcotest.test_case "frame ring: try_push refuses byte-full into a full ring" `Quick
+      test_frame_try_push_byte_full;
     Alcotest.test_case "stage latency: disabled path overhead" `Quick test_stage_latency_disabled_overhead;
     Alcotest.test_case "finish_all: reports in attach order" `Quick test_finish_all_attach_order;
     Alcotest.test_case "finish_all: order survives quarantine" `Quick test_finish_all_order_survives_quarantine;
