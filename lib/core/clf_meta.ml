@@ -33,10 +33,3 @@ let note_store t ~idx ~lo ~hi =
   t.end_idx <- idx;
   if lo < t.min_addr then t.min_addr <- lo;
   if hi > t.max_addr then t.max_addr <- hi
-
-let addr_range t = if is_empty t then None else Some (Pmem.Addr.range ~lo:t.min_addr ~hi:t.max_addr)
-
-let pp ppf t =
-  let state_name = match t.state with Not_flushed -> "not" | Partially_flushed -> "partial" | All_flushed -> "all" in
-  if is_empty t then Format.fprintf ppf "interval[%d..empty %s]" t.start_idx state_name
-  else Format.fprintf ppf "interval[%d..%d %s [%d,%d)]" t.start_idx t.end_idx state_name t.min_addr t.max_addr

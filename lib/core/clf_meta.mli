@@ -35,8 +35,3 @@ val is_empty : t -> bool
 val note_store : t -> idx:int -> lo:int -> hi:int -> unit
 (** Extend the interval with a store recorded at array index [idx]
     covering [\[lo,hi)]. *)
-
-val addr_range : t -> Pmem.Addr.range option
-(** Covered address range; [None] when the interval has no stores. *)
-
-val pp : Format.formatter -> t -> unit

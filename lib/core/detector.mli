@@ -36,7 +36,10 @@ val create :
   ?backend:Store_intf.backend
     (** bookkeeping backend factory; overrides the four knobs below.
         Default: {!Space.backend} (the paper's hybrid structure). *) ->
-  ?array_capacity:int ->
+  ?array_capacity:int
+    (** default 100_000: the location array's logical spill bound —
+        stores past it in one fence interval go to the tree. Storage
+        grows on demand; nothing is preallocated. *) ->
   ?merge_threshold:int ->
   ?mode:Space.mode ->
   ?interval_metadata:bool ->

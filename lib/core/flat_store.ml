@@ -28,13 +28,7 @@ type entry = {
          must match the hybrid backend exactly. *)
 }
 
-type t = {
-  mutable entries : entry array;
-  mutable live : int;
-  metrics : Obs.Metrics.t;
-  mutable fence_samples : int;
-  mutable tracked_sum : int;
-}
+type t = { mutable entries : entry array; mutable live : int; metrics : Obs.Metrics.t }
 
 let dummy =
   {
@@ -51,7 +45,7 @@ let dummy =
   }
 
 let create ?(metrics = Obs.Metrics.disabled) () =
-  { entries = Array.make 64 dummy; live = 0; metrics; fence_samples = 0; tracked_sum = 0 }
+  { entries = Array.make 64 dummy; live = 0; metrics }
 
 let push t e =
   if t.live = Array.length t.entries then begin
@@ -63,7 +57,7 @@ let push t e =
   t.live <- t.live + 1
 
 (* Remove by compaction, preserving insertion order so that scans (and
-   therefore observations like [find_overlap]) stay deterministic. *)
+   therefore the order [iter_pending] reports) stay deterministic. *)
 let filter_in_place t keep =
   let w = ref 0 in
   for r = 0 to t.live - 1 do
@@ -79,8 +73,6 @@ let filter_in_place t keep =
   t.live <- !w
 
 let range_of e = Addr.range ~lo:e.addr ~hi:(e.addr + e.size)
-
-let name = "flat"
 
 let process_store t ?check_overlap:(_ = true) ~addr ~size ~epoch ~seq ~tid ~strand () =
   let probe = Addr.range ~lo:addr ~hi:(addr + size) in
@@ -131,16 +123,10 @@ let process_store t ?check_overlap:(_ = true) ~addr ~size ~epoch ~seq ~tid ~stra
   Obs.Metrics.max_set t.metrics "flat_live_peak" (float_of_int t.live);
   { Store_intf.overlapped = !priors <> []; prior_seqs = Store_intf.cap_prior_seqs !priors }
 
-let find_overlap t ~lo ~hi =
+let has_pending_overlap t ~lo ~hi =
   let probe = Addr.range ~lo ~hi in
-  let found = ref None in
-  let i = ref 0 in
-  while !found = None && !i < t.live do
-    let e = t.entries.(!i) in
-    if Addr.overlaps (range_of e) probe then found := Some e.seq;
-    incr i
-  done;
-  !found
+  let rec go i = i < t.live && (Addr.overlaps (range_of t.entries.(i)) probe || go (i + 1)) in
+  go 0
 
 let process_clf ?(seq = -1) t ~lo ~hi =
   let flush = Addr.range ~lo ~hi in
@@ -216,8 +202,6 @@ let process_fence ?(seq = -1) t =
   done;
   filter_in_place t (fun e -> not e.flushed)
 
-let has_pending_overlap t ~lo ~hi = find_overlap t ~lo ~hi <> None
-
 let exists_epoch_pending t =
   let rec go i = i < t.live && (t.entries.(i).epoch || go (i + 1)) in
   go 0
@@ -231,50 +215,20 @@ let iter_pending t f =
 
 let pending_count t = t.live
 
-let clear t =
-  for i = 0 to t.live - 1 do
-    t.entries.(i) <- dummy
-  done;
-  t.live <- 0
-
-let tree_size _ = 0
-
-let array_live t = t.live
-
-let note_fence_sample t =
-  t.fence_samples <- t.fence_samples + 1;
-  t.tracked_sum <- t.tracked_sum + t.live
-
-let avg_tree_nodes_per_fence _ = 0.0
-
-let reorganizations _ = 0
-
-let stats t =
-  [
-    ("flat_live", float_of_int t.live);
-    ("avg_tracked_per_fence",
-     if t.fence_samples = 0 then 0.0 else float_of_int t.tracked_sum /. float_of_int t.fence_samples);
-  ]
-
 module Store = struct
   type nonrec t = t
 
-  let name = name
+  let name = "flat"
   let process_store = process_store
-  let find_overlap = find_overlap
   let process_clf = process_clf
   let process_fence = process_fence
   let has_pending_overlap = has_pending_overlap
   let exists_epoch_pending = exists_epoch_pending
   let iter_pending = iter_pending
-  let pending_count = pending_count
-  let clear = clear
-  let tree_size = tree_size
-  let array_live = array_live
-  let note_fence_sample = note_fence_sample
-  let avg_tree_nodes_per_fence = avg_tree_nodes_per_fence
-  let reorganizations = reorganizations
-  let stats = stats
+  let tree_size _ = 0
+  let note_fence_sample _ = ()
+  let avg_tree_nodes_per_fence _ = 0.0
+  let reorganizations _ = 0
 end
 
 let backend ?metrics () : Store_intf.backend =

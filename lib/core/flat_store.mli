@@ -14,6 +14,9 @@ val create : ?metrics:Obs.Metrics.t -> unit -> t
 (** [metrics] (default disabled) receives [flat_scans_total] and the
     [flat_live_peak] gauge. *)
 
+val pending_count : t -> int
+(** Tracked locations. *)
+
 module Store : Store_intf.LOCATION_STORE with type t = t
 
 val backend : ?metrics:Obs.Metrics.t -> unit -> Store_intf.backend

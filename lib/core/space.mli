@@ -1,6 +1,11 @@
 (** One bookkeeping space: memory-location array + CLF-interval
     metadata list + AVL spill tree (§4.1).
 
+    The array is a set of parallel unboxed arrays (ints for address,
+    size, store seq, thread, strand and flushing CLF seq; one flag byte
+    per slot for valid / flushed / epoch). It starts small and doubles
+    on demand, so a space costs what its fence intervals use.
+
     The space implements the three processing algorithms of §4.2–4.4 as
     pure bookkeeping; it reports the observations the detection rules
     need (overlaps found, redundant flushes, interval survivals) but
@@ -17,7 +22,11 @@ type mode = Hybrid | Array_only | Tree_only
 type t
 
 val create :
-  ?array_capacity:int (** default 100_000 (§4.1) *) ->
+  ?array_capacity:int
+    (** default 100_000 (§4.1): the logical spill bound — once this
+        many slots are live in one fence interval, further stores go to
+        the tree. Not a preallocation: storage grows by doubling up to
+        it. *) ->
   ?merge_threshold:int (** default 500 (§4.4) *) ->
   ?mode:mode ->
   ?interval_metadata:bool ->
@@ -63,10 +72,6 @@ val process_store :
     (the line is dirty again). Returns the multiple-overwrites
     observation; pass [~check_overlap:false] (when the overwrite rule is
     off) to let stores skip intervals that cannot hold flushed slots. *)
-
-val find_overlap : t -> lo:int -> hi:int -> int option
-(** Sequence number of some tracked, still-unpersisted location
-    overlapping the range, if any. *)
 
 type clf_result = Store_intf.clf_result = {
   matched : int;  (** tracked locations the flush covered (fully or partly) *)
@@ -115,13 +120,9 @@ val iter_pending :
 
 val pending_count : t -> int
 
-val clear : t -> unit
-
 (** {1 Statistics} *)
 
 val tree_size : t -> int
-
-val array_live : t -> int
 
 val note_fence_sample : t -> unit
 (** Record the current tree size as one fence-interval sample

@@ -39,7 +39,7 @@ let max_prior_seqs = Pmtrace.Shard_router.max_prior_seqs
     pipeline's cross-shard merge (hence defined there), so the cap is a
     property of the observation, not of one implementation. *)
 
-let cap_prior_seqs priors =
+let cap_prior_seqs (priors : int list) =
   let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> [] in
   take max_prior_seqs (List.sort_uniq compare priors)
 (** Canonicalize a raw prior-seq collection: sorted ascending, deduped,
@@ -72,10 +72,6 @@ module type LOCATION_STORE = sig
   (** §4.2: track the store; tracked overlapping locations that were
       flushed but not fenced lose their flushed state. *)
 
-  val find_overlap : t -> lo:int -> hi:int -> int option
-  (** Sequence number of some tracked, still-unpersisted location
-      overlapping the range, if any. *)
-
   val process_clf : ?seq:int -> t -> lo:int -> hi:int -> clf_result
   (** §4.3: update flushing states; split partially covered locations. *)
 
@@ -84,6 +80,7 @@ module type LOCATION_STORE = sig
       of the first fence they crossed unpersisted. *)
 
   val has_pending_overlap : t -> lo:int -> hi:int -> bool
+  (** Any tracked, still-unpersisted location overlapping the range? *)
 
   val exists_epoch_pending : t -> bool
 
@@ -92,17 +89,10 @@ module type LOCATION_STORE = sig
     (addr:int -> size:int -> flushed:bool -> epoch:bool -> seq:int -> clf_seq:int -> fence_seq:int -> unit) ->
     unit
 
-  val pending_count : t -> int
-
-  val clear : t -> unit
-
   (** {1 Statistics} *)
 
   val tree_size : t -> int
   (** Spill-structure size (0 for backends without one). *)
-
-  val array_live : t -> int
-  (** Fast-path live entries (total tracked for flat backends). *)
 
   val note_fence_sample : t -> unit
   (** Record the current spill size as one fence-interval sample
@@ -111,8 +101,6 @@ module type LOCATION_STORE = sig
   val avg_tree_nodes_per_fence : t -> float
 
   val reorganizations : t -> int
-
-  val stats : t -> (string * float) list
 end
 
 type instance = Instance : (module LOCATION_STORE with type t = 'a) * 'a -> instance
@@ -130,8 +118,6 @@ let name (Instance ((module S), _)) = S.name
 
 let process_store (Instance ((module S), s)) = S.process_store s
 
-let find_overlap (Instance ((module S), s)) = S.find_overlap s
-
 let process_clf ?seq (Instance ((module S), s)) = S.process_clf ?seq s
 
 let process_fence ?seq (Instance ((module S), s)) = S.process_fence ?seq s
@@ -142,18 +128,10 @@ let exists_epoch_pending (Instance ((module S), s)) = S.exists_epoch_pending s
 
 let iter_pending (Instance ((module S), s)) = S.iter_pending s
 
-let pending_count (Instance ((module S), s)) = S.pending_count s
-
-let clear (Instance ((module S), s)) = S.clear s
-
 let tree_size (Instance ((module S), s)) = S.tree_size s
-
-let array_live (Instance ((module S), s)) = S.array_live s
 
 let note_fence_sample (Instance ((module S), s)) = S.note_fence_sample s
 
 let avg_tree_nodes_per_fence (Instance ((module S), s)) = S.avg_tree_nodes_per_fence s
 
 let reorganizations (Instance ((module S), s)) = S.reorganizations s
-
-let stats (Instance ((module S), s)) = S.stats s

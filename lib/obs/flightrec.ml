@@ -193,10 +193,11 @@ let validate_json json =
 (* Perfetto rendering                                                *)
 (* ---------------------------------------------------------------- *)
 
-(* Timestamps are normalized to non-negative integer microseconds
-   relative to the earliest entry across all rings, so wall-clock and
-   virtual-time rings both render. cat="session" entries are grouped by
-   session id (the [a] argument) and drawn as lifecycle slices:
+(* [us] maps timestamps to non-negative integer microseconds relative
+   to the earliest entry across all rings (Tracecat.merge picks the
+   origin), so wall-clock and virtual-time rings both render.
+   cat="session" entries are grouped by session id (the [a] argument)
+   and drawn as lifecycle slices:
    consecutive transitions pair into complete slices named after the
    phase being left; the final entry is an instant when terminal
    ([b] = 1, named after the exit status) and an open begin_slice when
@@ -231,21 +232,3 @@ let render_entries p ~tid ~us entries =
                slices rest
          in
          slices es)
-
-let dump_to_perfetto ?last rings =
-  let windows = List.map (fun (label, t) -> (label, window ?last t)) rings in
-  let tmin =
-    List.fold_left
-      (fun acc (_, es) -> List.fold_left (fun acc e -> Float.min acc e.e_ts) acc es)
-      infinity windows
-  in
-  let tmin = if tmin = infinity then 0.0 else tmin in
-  let us ts = max 0 (int_of_float ((ts -. tmin) *. 1e6)) in
-  let p = Perfetto.create () in
-  Perfetto.process_name p "pmdb flight recorder";
-  List.iteri
-    (fun tid (label, entries) ->
-      Perfetto.thread_name ~tid p label;
-      render_entries p ~tid ~us entries)
-    windows;
-  Perfetto.to_json p

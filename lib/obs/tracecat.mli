@@ -2,11 +2,10 @@
     {!Flightrec} ring plus the coarse {!Span} phases folded into {e
     one} Chrome trace-event document on a shared time base.
 
-    Per-ring dumps ({!Flightrec.dump_to_perfetto}) each normalize their
-    own clock, so causality {e between} domains is invisible. Here all
-    rings share one origin (the earliest entry or span across
-    everything), each ring gets one thread track in list order, and
-    frame hand-offs render as flow arrows:
+    Rendering each ring on its own clock would hide causality {e
+    between} domains, so all rings share one origin (the earliest entry
+    or span across everything), each ring gets one thread track in list
+    order, and frame hand-offs render as flow arrows:
 
     - a router records [cat="frame", name="publish", a=shard, b=index]
       at each {!Frame_ring} publish, the consuming worker records
@@ -18,12 +17,11 @@
       of its bounded ring, or the frame was still in flight) stay plain
       instants — arrows are only drawn when both ends survive.
 
-    Everything else renders exactly as the per-ring dump does
-    ({!Flightrec.render_entries}): session lifecycle slices, instants
-    with [a]/[b] args. [spans] (e.g. {!Span.finished} of the CLI's
-    run/finish/replay phases) draw on a final ["phases"] track as
-    complete slices, so fine-grained domain activity reads against the
-    overall timeline. *)
+    Everything else renders through {!Flightrec.render_entries}:
+    session lifecycle slices, instants with [a]/[b] args. [spans]
+    (e.g. {!Span.finished} of the CLI's run/finish/replay phases) draw
+    on a final ["phases"] track as complete slices, so fine-grained
+    domain activity reads against the overall timeline. *)
 
 val merge :
   ?last:int ->

@@ -114,7 +114,7 @@ let dump_flightrec t ~reason ~session =
         with Sys_error _ -> ()
       in
       write (base ^ ".json") (Obs.Flightrec.dump_to_json ~meta rings);
-      write (base ^ ".perfetto.json") (Obs.Flightrec.dump_to_perfetto rings)
+      write (base ^ ".perfetto.json") (Obs.Tracecat.merge ~metadata:meta rings)
   | Some _ -> ()
 
 (* The daemon-wide causal trace: every ring merged into one Perfetto

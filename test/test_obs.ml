@@ -474,10 +474,23 @@ let test_flightrec_perfetto () =
       (0.3, "session", "ok", 1, 1);
       (0.4, "session", "open", 2, 0);
     ];
-  let doc = F.dump_to_perfetto [ ("dispatch", r) ] in
-  match Obs.Perfetto.validate_json doc with
+  let doc = Obs.Tracecat.merge ~metadata:[ ("reason", Obs.Json.Str "test") ] [ ("dispatch", r) ] in
+  (match Obs.Perfetto.validate_json doc with
   | Ok n -> Alcotest.(check bool) (Printf.sprintf "%d trace events" n) true (n > 0)
-  | Error msg -> Alcotest.fail msg
+  | Error msg -> Alcotest.fail msg);
+  (* Session 1 renders as two complete slices (open, drain) and a
+     terminal instant; session 2, still open, as a begun slice. *)
+  let evs = match Obs.Json.member "traceEvents" doc with Some (Obs.Json.List l) -> l | _ -> [] in
+  let session ph =
+    List.length
+      (List.filter
+         (fun e ->
+           Obs.Json.member "cat" e = Some (Obs.Json.Str "session") && Obs.Json.member "ph" e = Some (Obs.Json.Str ph))
+         evs)
+  in
+  Alcotest.(check int) "lifecycle slices" 2 (session "X");
+  Alcotest.(check int) "terminal instant" 1 (session "i");
+  Alcotest.(check int) "open session slice" 1 (session "B")
 
 (* Mirror of test_disabled_overhead for the recorder: the always-on
    hook may cost one branch when off. *)

@@ -695,12 +695,12 @@ module F = Pmdebugger.Flat_store.Store
 let test_flat_lifecycle () =
   let f = Pmdebugger.Flat_store.create () in
   ignore (F.process_store f ~addr:100 ~size:8 ~epoch:false ~seq:1 ~tid:0 ~strand:(-1) ());
-  Alcotest.(check int) "tracked" 1 (F.pending_count f);
+  Alcotest.(check int) "tracked" 1 (Pmdebugger.Flat_store.pending_count f);
   let r = F.process_clf f ~lo:64 ~hi:128 in
   Alcotest.(check int) "matched" 1 r.SI.matched;
   Alcotest.(check int) "newly flushed" 1 r.SI.newly_flushed;
   F.process_fence f;
-  Alcotest.(check int) "fence drains flushed" 0 (F.pending_count f)
+  Alcotest.(check int) "fence drains flushed" 0 (Pmdebugger.Flat_store.pending_count f)
 
 let test_flat_partial_clf_splits () =
   let f = Pmdebugger.Flat_store.create () in

@@ -176,15 +176,19 @@ let test_no_interval_metadata_agrees () =
   in
   Alcotest.(check (list (triple int int bool))) "metadata off agrees" (run true) (run false)
 
+(* Array capacities that put the spill point before, at and past the
+   slot arrays' growth steps (they start at 4 and double). *)
+let capacity = QCheck.oneofl [ 1; 3; 4; 5; 64; 65; 100_000 ]
+
 (* Differential property: the three bookkeeping modes and the
    metadata-off variant produce identical pending sets on random op
    sequences — the ablation knobs change cost, never verdicts. *)
 let prop_modes_equivalent =
   QCheck.Test.make ~name:"bookkeeping modes are observationally equal" ~count:200
-    QCheck.(small_list (pair (int_range 0 2) (int_range 0 30)))
-    (fun ops ->
+    QCheck.(pair capacity (small_list (pair (int_range 0 2) (int_range 0 30))))
+    (fun (array_capacity, ops) ->
       let run_mode mode interval_metadata =
-        let sp = mk ~mode ~interval_metadata () in
+        let sp = mk ~mode ~interval_metadata ~array_capacity () in
         List.iter
           (fun (op, slot) ->
             let addr = slot * 24 in
@@ -212,9 +216,11 @@ let prop_modes_equivalent =
    pieces flushed) and have their own unit tests. *)
 let prop_modes_observations_equivalent =
   QCheck.Test.make ~name:"per-op observations agree across modes" ~count:300
-    QCheck.(small_list (pair (int_range 0 2) (int_range 0 30)))
-    (fun ops ->
-      let sps = List.map (fun mode -> mk ~mode ()) [ Space.Hybrid; Space.Array_only; Space.Tree_only ] in
+    QCheck.(pair capacity (small_list (pair (int_range 0 2) (int_range 0 30))))
+    (fun (array_capacity, ops) ->
+      let sps =
+        List.map (fun mode -> mk ~mode ~array_capacity ()) [ Space.Hybrid; Space.Array_only; Space.Tree_only ]
+      in
       let agree obs = List.for_all (fun o -> o = List.hd obs) obs in
       List.for_all
         (fun (op, slot) ->
@@ -239,40 +245,10 @@ let prop_modes_observations_equivalent =
       && agree (List.map pending sps))
 
 (* ------------------------------------------------------------------ *)
-(* Bookkeeping state-reset and accounting regressions.                 *)
+(* Bookkeeping accounting regressions.                                *)
 (* ------------------------------------------------------------------ *)
 
 let stat sp key = List.assoc key (Space.stats sp)
-
-(* [clear] must forget the fence interval's flush registrations: stale
-   entries replay pre-clear bookkeeping into the next fence and keep
-   dead payloads alive. *)
-let test_clear_resets_flush_registrations () =
-  let sp = mk () in
-  ignore (store sp ~addr:100 ~size:8);
-  Space.process_fence sp (* unflushed survivor migrates to the tree *);
-  ignore (Space.process_clf sp ~lo:64 ~hi:128) (* tree node flushed: registered for the next fence *);
-  Alcotest.(check (float 0.0)) "registration recorded" 1.0 (stat sp "tree_flushed_nodes");
-  Space.clear sp;
-  Alcotest.(check (float 0.0)) "clear drops flush registrations" 0.0 (stat sp "tree_flushed_nodes")
-
-(* [clear] must also reset the reorganization threshold baseline: a
-   stale last-reorg size suppresses merging until the (now empty) tree
-   regrows past the pre-clear high-water mark. *)
-let test_clear_resets_reorg_threshold () =
-  let sp = mk ~mode:Space.Tree_only ~merge_threshold:10 () in
-  for i = 0 to 99 do
-    ignore (store sp ~addr:(i * 64) ~size:8)
-  done;
-  Space.process_fence sp;
-  let before = Space.reorganizations sp in
-  Alcotest.(check bool) "baseline reorg ran" true (before > 0);
-  Space.clear sp;
-  for i = 0 to 11 do
-    ignore (store sp ~addr:(i * 64) ~size:8)
-  done;
-  Space.process_fence sp;
-  Alcotest.(check bool) "fresh growth past the threshold reorganizes again" true (Space.reorganizations sp > before)
 
 (* The collective-CLF branch must not count slots a superseding store
    already invalidated. *)
@@ -299,6 +275,17 @@ let test_superseded_tree_registrations_purged () =
     true
     (stat sp "tree_flushed_nodes" <= 1.0)
 
+(* A fresh detector pays for the slots it uses, not for the array
+   capacity: creating one must not build the 100,000-slot location
+   array up front. *)
+let test_detector_create_allocates_little () =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Detector.create ()));
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "Detector.create allocates %.0f minor words < 10_000" words)
+    true (words < 10_000.)
+
 let suite =
   [
     Alcotest.test_case "store/flush/fence lifecycle" `Quick test_store_then_flush_then_fence;
@@ -313,10 +300,9 @@ let suite =
     Alcotest.test_case "has_pending_overlap" `Quick test_has_pending_overlap;
     Alcotest.test_case "modes agree" `Quick test_modes_agree_on_pending;
     Alcotest.test_case "interval metadata off agrees" `Quick test_no_interval_metadata_agrees;
-    Alcotest.test_case "clear resets flush registrations" `Quick test_clear_resets_flush_registrations;
-    Alcotest.test_case "clear resets reorg threshold baseline" `Quick test_clear_resets_reorg_threshold;
     Alcotest.test_case "collective CLF skips invalidated slots" `Quick test_collective_clf_counts_valid_slots_only;
     Alcotest.test_case "superseded tree registrations purged" `Quick test_superseded_tree_registrations_purged;
+    Alcotest.test_case "detector create allocates little" `Quick test_detector_create_allocates_little;
     QCheck_alcotest.to_alcotest prop_matches_byte_model;
     QCheck_alcotest.to_alcotest prop_modes_equivalent;
     QCheck_alcotest.to_alcotest prop_modes_observations_equivalent;
