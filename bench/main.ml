@@ -11,7 +11,7 @@
 
    The report experiment also writes BENCH_pr2.json, the streaming
    experiment BENCH_pr3.json, the sharding experiment BENCH_pr9.json
-   (shard-count and frame size curve against the plain detector) and
+   (shard-count curve against the plain detector) and
    the serve soak
    BENCH_pr6.json (all pmdb-bench/v1: per-bench
    slowdowns + dispatch-latency quantiles + a telemetry snapshot);
@@ -954,9 +954,9 @@ let streaming () =
 
 (* ------------------------------------------------------------------ *)
 (* Sharded detection: replay the streaming trace through the            *)
-(* domain-parallel Shard_router at 1/2/4/8 shards plus a frame size     *)
-(* sweep, time every row against the plain single-detector run, and     *)
-(* check every merged report against it. Writes BENCH_pr9.json.         *)
+(* domain-parallel Shard_router at 1/2/4/8 shards, time every row       *)
+(* against the plain single-detector run, and check every merged        *)
+(* report against it. Writes BENCH_pr9.json.                            *)
 (* ------------------------------------------------------------------ *)
 
 let sharding () =
@@ -986,27 +986,13 @@ let sharding () =
     (report, Unix.gettimeofday () -. t0, hist)
   in
   let plain_report, plain_s, plain_hist = run_once (fun () -> mk_pmdebugger Pmdebugger.Detector.Strict ()) in
-  (* The curve: the default frame size at each shard count, plus a
-     frame size sweep at 4 shards to show where the amortization
-     saturates. Labels carry shard count and frame size so rows are
-     self-describing. *)
-  let fs_default = Shard_router.default_frame_size in
-  let configs =
-    List.concat
-      [
-        List.map (fun n -> (Printf.sprintf "frames-shards-%d" n, n, fs_default)) [ 1; 2; 4; 8 ];
-        List.map (fun fs -> (Printf.sprintf "frames-fs-%d-shards-4" fs, 4, fs)) [ 16; 4096 ];
-      ]
-  in
   let sharded =
     List.map
-      (fun (name, n, fs) ->
+      (fun n ->
         let reg = Obs.Metrics.create () in
-        let report, dt, hist =
-          run_once (fun () -> Shard_router.sink ~shards:n ~frame_size:fs ~metrics:reg worker)
-        in
-        (name, report, dt, hist, reg))
-      configs
+        let report, dt, hist = run_once (fun () -> Shard_router.sink ~shards:n ~metrics:reg worker) in
+        (Printf.sprintf "frames-shards-%d" n, report, dt, hist, reg))
+      [ 1; 2; 4; 8 ]
   in
   let expected = canon plain_report in
   let reports_match = List.for_all (fun (_, r, _, _, _) -> canon r = expected) sharded in
@@ -1102,7 +1088,6 @@ let sharding () =
         ("quick", Bool q);
         ("events", Int events);
         ("host_cores", Int host_cores);
-        ("frame_size", Int fs_default);
         ("reports_match", Bool reports_match);
         ("speedup_4_over_plain", Float speedup_4);
         ( "rows",

@@ -282,6 +282,11 @@ let replay_daemon_cmd ~socket ~file ~max_print ~lenient =
   | Error msg ->
       Printf.eprintf "error: %s\n" msg;
       exit 1
+  | Ok { Serve.Wire.status = Serve.Status.Trace_error as status; error; _ } ->
+      (* The offline strict replay stops at the bad line with this one
+         diagnostic and no report. *)
+      Printf.eprintf "error: %s\n" (Option.value error ~default:"(no detail)");
+      exit (Serve.Status.exit_code status)
   | Ok frame ->
       (match frame.Serve.Wire.report with
       | Some report ->
@@ -884,7 +889,7 @@ let stats_cmd workload n detector config check check_prometheus diff files check
           Obs.Json.to_file path json;
           Printf.printf "metrics written to %s\n" path
 
-let serve_cmd socket workers idle_timeout session_budget max_sessions detector config shards metrics_file
+let serve_cmd socket workers idle_timeout session_budget max_sessions detector config metrics_file
     flightrec_dir heatmap_cap trace_out stop probe =
   if stop then (
     match Serve.Client.stop ~socket with
@@ -931,13 +936,10 @@ let serve_cmd socket workers idle_timeout session_budget max_sessions detector c
             trace_out;
           }
         in
-        (* Each session's sink may itself shard across domains: worker
-           domains then act as routers feeding shard domains, so budget
-           [workers * shards] cores. The sharded path keeps per-session
-           registries disabled like the plain one — the daemon's merged
+        (* Per-session registries stay disabled: the daemon's merged
            telemetry comes from the dispatch/worker registries. *)
         let make_sink ~heatmap =
-          sink_for ~metrics:Obs.Metrics.disabled ~heatmap ~shards detector Pmdebugger.Detector.Strict config
+          sink_for ~metrics:Obs.Metrics.disabled ~heatmap detector Pmdebugger.Detector.Strict config
         in
         let daemon = Serve.Daemon.create ~metrics ~make_sink cfg in
         Serve.Daemon.install_signal_handlers daemon;
@@ -1170,7 +1172,7 @@ let probe_arg =
 let serve_term =
   Term.(
     const serve_cmd $ socket_arg $ workers_arg $ idle_timeout_arg $ session_budget_arg $ max_sessions_arg
-    $ detector_arg $ config_arg $ shards_arg $ metrics_file_arg
+    $ detector_arg $ config_arg $ metrics_file_arg
     $ flightrec_dir_arg $ heatmap_cap_arg $ serve_trace_out_arg $ serve_stop_arg $ probe_arg)
 
 let case_arg =

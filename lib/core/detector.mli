@@ -51,9 +51,9 @@ val create :
     (** default [true]. [false] — required for shard workers — makes the
         pending-location walks (program end, epoch end) report every
         pending entry, bypassing the per-(kind, addr) dedup and the
-        per-kind cap: line clipping moves finding addresses, so only the
-        router's merge, which rejoins the clipped pieces, can replicate
-        the single-shard dedup decisions. *) ->
+        per-kind cap: each shard sees only part of the findings, so both
+        must run once, over the merged findings, which the router's
+        merge does. *) ->
   ?metrics:Obs.Metrics.t ->
   ?heatmap:Obs.Heatmap.t ->
   unit ->
@@ -68,10 +68,7 @@ val create :
     one {!Obs.Heatmap.on_store}/[on_clf] per line an owner (non-silent)
     store/CLF touches, one [on_bug] per admitted finding with a real
     address, and line names from [Register_var] events. One branch per
-    event when disabled; an allocation-free line loop when enabled.
-    Sharded runs (silent replicas skipped) count owner traffic only —
-    stall-path scans may count a spanning event once per scanning
-    shard, so sharded heatmaps are approximate on barrier events. *)
+    event when disabled; an allocation-free line loop when enabled. *)
 
 val sink : t -> Pmtrace.Sink.t
 

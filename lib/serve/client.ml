@@ -1,4 +1,5 @@
 let with_conn socket f =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   match
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX socket) with
@@ -11,19 +12,27 @@ let with_conn socket f =
   | exception Unix.Unix_error (err, _, _) ->
       Error (Printf.sprintf "cannot connect to daemon at %s: %s" socket (Unix.error_message err))
 
+(* EPIPE or ECONNRESET means the daemon stopped reading: it ended the
+   session early and its reply is already on the way. Stop sending and
+   let the caller read that reply. *)
 let send_all fd s =
   let b = Bytes.of_string s in
   let off = ref 0 in
-  while !off < Bytes.length b do
-    off := !off + Unix.write fd b !off (Bytes.length b - !off)
-  done
+  try
+    while !off < Bytes.length b do
+      off := !off + Unix.write fd b !off (Bytes.length b - !off)
+    done
+  with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
 
+(* A daemon that closed with our unread bytes still queued resets the
+   connection: the read after its reply fails with ECONNRESET instead
+   of returning end-of-file. *)
 let read_all fd =
   let buf = Buffer.create 4096 in
   let chunk = Bytes.create 65536 in
   let rec go () =
     match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
+    | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> ()
     | n ->
         Buffer.add_subbytes buf chunk 0 n;
         go ()

@@ -3,7 +3,13 @@
     synthetic load generators and the fault-tolerance tests.
 
     Every entry point opens its own connection, performs one exchange
-    and closes; errors come back as [Error msg], never exceptions. *)
+    and closes; errors come back as [Error msg], never exceptions.
+
+    A daemon may end a session before the client has sent everything
+    (a strict parse error quarantines the session at the bad line).
+    The client then stops sending and still reads the daemon's reply.
+    To see that as a failed write instead of dying, the client sets
+    SIGPIPE to ignored for the whole process. *)
 
 val replay_file :
   socket:string -> name:string -> ?lenient:bool -> string -> (Wire.result_frame, string) result

@@ -171,7 +171,11 @@ let bind_listener path =
    dump, 'w' is a worker's wake-up and asks for nothing but a pass. *)
 let wake_byte = Bytes.make 1 'w'
 
-let create ?(metrics = Obs.Metrics.disabled) ?(domains = true) ~make_sink cfg =
+let create ?(metrics = Obs.Metrics.disabled) ~make_sink cfg =
+  (* A reply to a client that already closed must fail as EPIPE in
+     [write_all], which drops that one connection; the default SIGPIPE
+     action would kill the process first. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listener = bind_listener cfg.socket_path in
   let stop_r, stop_w = Unix.pipe () in
   Unix.set_nonblock stop_r;
@@ -186,7 +190,7 @@ let create ?(metrics = Obs.Metrics.disabled) ?(domains = true) ~make_sink cfg =
       try ignore (Unix.write stop_w wake_byte 0 1) with Unix.Unix_error _ -> ()
   in
   let pool =
-    Pool.create ~domains
+    Pool.create
       ~worker_metrics:(Obs.Metrics.is_on metrics)
       ?flightrec_capacity:(if flightrec_on then Some cfg.flightrec_capacity else None)
       ?heatmap_cap:(if cfg.heatmap_cap > 0 then Some cfg.heatmap_cap else None)

@@ -92,7 +92,6 @@ type t
 
 val create :
   ?metrics:Obs.Metrics.t ->
-  ?domains:bool (** default true; [false] runs workers inline, for tests *) ->
   make_sink:(heatmap:Obs.Heatmap.t -> Pmtrace.Sink.t) ->
   config ->
   t
@@ -104,7 +103,11 @@ val create :
     it to the detector or ignore it. When [metrics] is enabled the pool
     gives every worker its own registry (see {!Pool.create}) —
     worker-side telemetry never goes through the sink, so reports stay
-    byte-identical to an offline replay. *)
+    byte-identical to an offline replay.
+
+    Sets SIGPIPE to ignored for the whole process: a client that closes
+    before reading its reply must fail that one write with [EPIPE], not
+    kill the daemon. *)
 
 val run : t -> unit
 (** Serve until stopped; drains sessions, stops workers, writes the

@@ -1,12 +1,5 @@
 open Pmtrace
 
-(* Every session's events travel in one small ring: 4 frames of 256
-   events. Once the dispatcher is woken on drain instead of on the
-   select tick, capacity no longer bounds throughput. *)
-let frame_events = 256
-
-let ring_slots = 4
-
 type slot = {
   worker : int;
   ring : Frame_ring.t; (* dispatch domain produces, the session's worker consumes *)
@@ -230,7 +223,7 @@ let open_session t ~id =
   let slot =
     {
       worker;
-      ring = Frame_ring.create ~slots:ring_slots ~frame_events ();
+      ring = Frame_ring.create ();
       failed = Atomic.make None;
       result = Atomic.make None;
       wanted = Atomic.make false;

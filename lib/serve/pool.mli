@@ -3,11 +3,11 @@
 
     Sessions are sticky: session [id] always runs on worker
     [id mod workers], so detector state never crosses domains. Each
-    session gets its own small {!Pmtrace.Frame_ring} (1024 events: 4
-    frames of 256), produced by the daemon's single dispatch domain and
-    handed to the session's worker when the session opens. The worker
-    hosts its sessions' engines (one {!Pmtrace.Engine.t} + sink per
-    session, created on the worker) and round-robins
+    session gets its own {!Pmtrace.Frame_ring} at the default geometry
+    (4 frames of 256 events), produced by the daemon's single dispatch
+    domain and handed to the session's worker when the session opens.
+    The worker hosts its sessions' engines (one {!Pmtrace.Engine.t} +
+    sink per session, created on the worker) and round-robins
     {!Pmtrace.Frame_ring.try_consume} over their rings, one frame per
     session per pass. The ring's end-of-stream frame
     ({!Pmtrace.Frame_ring.push_stop}) finishes the session; there is no

@@ -62,7 +62,10 @@ type t = {
   mutable last_pub_ts : float; (* consumer's copy of the last decoded frame's stamp *)
 }
 
-let create ?(frame_bytes = 0) ~slots:want ~frame_events () =
+(* The one production geometry, used by the shard router and every
+   serve session: 4 frames of 256 events. Tests pass smaller ones to
+   reach frame and wraparound boundaries quickly. *)
+let create ?(frame_bytes = 0) ?slots:(want = 4) ?(frame_events = 256) () =
   if frame_events < 1 then invalid_arg "Frame_ring.create: frame_events must be >= 1";
   let want = max 2 want in
   let rec pow2 n = if n >= want then n else pow2 (n * 2) in
@@ -90,8 +93,6 @@ let create ?(frame_bytes = 0) ~slots:want ~frame_events () =
   }
 
 let capacity t = t.mask + 1
-
-let frame_events t = t.frame_events
 
 (* Published (undecoded) frames. The [tail]/[head] reads can tear
    against concurrent publish/consume — clamp to the only occupancies a

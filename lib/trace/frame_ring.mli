@@ -41,17 +41,17 @@ type t
 
 exception Closed
 
-val create : ?frame_bytes:int -> slots:int -> frame_events:int -> unit -> t
-(** [create ~slots ~frame_events ()] — a ring of [slots] (rounded up to
-    a power of two, min 2) frame buffers, each published once it holds
-    [frame_events] events (or earlier via {!flush}/{!push_stop}).
+val create : ?frame_bytes:int -> ?slots:int -> ?frame_events:int -> unit -> t
+(** [create ()] — a ring of [slots] (default 4, rounded up to a power
+    of two, min 2) frame buffers, each published once it holds
+    [frame_events] (default 256) events, or earlier via
+    {!flush}/{!push_stop}. The defaults are the one geometry the shard
+    router and the serve pool use; tests pass smaller ones.
     [frame_bytes] presizes each slot; the default fits [frame_events]
     fixed-size records, and slots grow on demand. *)
 
 val capacity : t -> int
 (** Ring capacity in frames. *)
-
-val frame_events : t -> int
 
 val length : t -> int
 (** Published-but-unconsumed frames. The two index reads can tear

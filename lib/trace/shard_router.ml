@@ -10,12 +10,13 @@ open Pmem
    one canonical report whose findings equal the single-shard run —
    see DESIGN.md "Sharded detection" for the equality contract.
 
-   Transport: events are batched into frames ([Frame_ring]): the router
-   encodes each event into the destination shard's staging buffer (no
-   per-event allocation) and publishes a whole frame every [frame_size]
-   events; workers decode and dispatch a frame at a time and bump
-   [processed] once per frame. The drain barrier flushes partial frames
-   first, so cross-shard stalls see every routed event. *)
+   Transport: events are batched into frames ([Frame_ring], default
+   geometry): the router encodes each event into the destination
+   shard's staging buffer (no per-event allocation) and publishes a
+   whole frame once it is full; workers decode and dispatch a frame at
+   a time and bump [processed] once per frame. The drain barrier
+   flushes partial frames first, so cross-shard stalls see every routed
+   event. *)
 
 let max_prior_seqs = 8
 (* Must match the per-backend cap (Store_intf.max_prior_seqs references
@@ -23,7 +24,10 @@ let max_prior_seqs = 8
    the union, which equals the single-shard cap because each shard's
    list is itself the 8 smallest of its partition. *)
 
-let default_frame_size = 256
+(* The detector's default per-kind cap. Shard workers skip it on their
+   pending walks ([~walk_dedup:false]), so the merge applies it once,
+   over the merged findings. *)
+let max_bugs_per_kind = 1000
 
 type store_obs = { so_overlapped : bool; so_prior_seqs : int list }
 
@@ -65,7 +69,7 @@ let merge_clf_obs obs =
 type t = {
   shards : int;
   workers : worker array;
-  rings : Frame_ring.t array; (* one per shard, published every [frame_size] events *)
+  rings : Frame_ring.t array; (* one per shard *)
   pushed : int array; (* per shard, router side *)
   processed : int Atomic.t array;
       (* per shard: bumped by the worker once per decoded frame, by its
@@ -95,7 +99,6 @@ type t = {
          [shard_encode_seconds] when the frame goes out *)
   flightrec : Obs.Flightrec.t; (* router-side ring: frame publishes, barrier stalls *)
   worker_flightrecs : Obs.Flightrec.t array; (* one per worker domain: frame pops *)
-  max_bugs_per_kind : int;
   mutable result : Bug.report option;
 }
 
@@ -348,80 +351,6 @@ let route t ev =
   | Event.Join_strand _ | Event.Call _ | Event.Annotation _ | Event.Program_end ->
       broadcast t ~seq ev
 
-(* {2 Vectorized batch routing}
-
-   The sink stages incoming events into a batch and routes the batch
-   in two passes: pass 1 classifies every event into an int target code
-   (single shard, broadcast, pinned-broadcast, drop), pass 2 appends to
-   the per-shard frames driven by the codes alone — no per-event
-   constructor dispatch on the append path. Classification only depends
-   on router state ([registered], [track_all], [pinned]) that fast
-   events never mutate, so a classified run makes decisions identical
-   to the scalar [route] loop; events that DO mutate routing state
-   (registrations, and stores that stall and pin lines) end the run and
-   take the scalar path at their exact stream position. *)
-
-let code_broadcast = -1
-let code_drop = -2
-let code_slow = -3
-
-(* Target code for [ev], or [code_slow] when the event needs the scalar
-   path. Codes [0..shards-1] send to that shard; [shards + i] broadcasts
-   silently except at shard [i] (single pinned line). Mirrors [route] /
-   [address_event] case for case. *)
-let classify t ev =
-  match ev with
-  | Event.Store { addr; size; _ } | Event.Clf { addr; size; _ } -> (
-      let lo = addr and hi = addr + size in
-      if size <= 0 || not (in_registered t ~lo ~hi) then code_drop
-      else
-        match Addr.lines_of_range ~lo ~hi with
-        | [ l ] -> if Hashtbl.mem t.pinned l then t.shards + owner t l else owner t l
-        | l :: rest
-          when (not (List.exists (Hashtbl.mem t.pinned) (l :: rest)))
-               && List.for_all (fun l' -> owner t l' = owner t l) rest ->
-            owner t l
-        | _ -> code_slow)
-  | Event.Tx_log _ -> 0
-  | Event.Register_pmem _ | Event.Register_var _ -> code_slow
-  | Event.Fence _ | Event.Epoch_begin _ | Event.Epoch_end _ | Event.Strand_begin _ | Event.Strand_end _
-  | Event.Join_strand _ | Event.Call _ | Event.Annotation _ | Event.Program_end ->
-      code_broadcast
-
-let route_batch t evs codes n =
-  let i = ref 0 in
-  while !i < n do
-    (* Pass 1: classify a run of fast events. *)
-    let s = !i in
-    let stop = ref (-1) in
-    let k = ref s in
-    while !stop < 0 && !k < n do
-      let c = classify t evs.(!k) in
-      if c = code_slow then stop := !k
-      else begin
-        codes.(!k) <- c;
-        incr k
-      end
-    done;
-    (* Pass 2: append the run to the per-shard frames, dispatching on
-       the precomputed codes only. *)
-    for j = s to !k - 1 do
-      t.events <- t.events + 1;
-      let seq = t.events in
-      let c = codes.(j) in
-      if c >= t.shards then broadcast t ~seq ~silent_except:(c - t.shards) evs.(j)
-      else if c >= 0 then send t c ~seq ~silent:false evs.(j)
-      else if c = code_broadcast then broadcast t ~seq evs.(j)
-      (* [code_drop]: the event consumes a seq but is routed nowhere,
-         exactly like the scalar unregistered/empty-range path. *)
-    done;
-    if !stop >= 0 then begin
-      route t evs.(!stop);
-      i := !stop + 1
-    end
-    else i := !k
-  done
-
 (* {2 Merging shard reports} *)
 
 (* Since no location is ever clipped (spanning ranges are replicated
@@ -503,7 +432,7 @@ let merge_reports t reports =
   let bugs = List.concat_map (fun r -> r.Bug.bugs) reports in
   let bugs =
     List.sort Bug.compare_canonical bugs |> dedup_replicas |> dedup_by_kind_addr
-    |> cap_per_kind t.max_bugs_per_kind
+    |> cap_per_kind max_bugs_per_kind
   in
   let failure = List.fold_left (fun acc r -> match acc with Some _ -> acc | None -> r.Bug.failure) None reports in
   {
@@ -549,11 +478,9 @@ let finish t =
       t.result <- Some r;
       r
 
-let create ~shards ?(queue_capacity = 1024) ?(frame_size = default_frame_size) ?(domains = true)
-    ?(metrics = Obs.Metrics.disabled) ?(flightrec = Obs.Flightrec.disabled) ?worker_flightrecs
-    ?(max_bugs_per_kind = 1000) make_worker =
+let create ~shards ?(domains = true) ?(metrics = Obs.Metrics.disabled) ?(flightrec = Obs.Flightrec.disabled)
+    ?worker_flightrecs make_worker =
   if shards < 1 then invalid_arg "Shard_router.create: shards must be >= 1";
-  if frame_size < 1 then invalid_arg "Shard_router.create: frame_size must be >= 1";
   let worker_flightrecs =
     match worker_flightrecs with
     | None -> Array.init shards (fun _ -> Obs.Flightrec.disabled)
@@ -562,9 +489,6 @@ let create ~shards ?(queue_capacity = 1024) ?(frame_size = default_frame_size) ?
           invalid_arg "Shard_router.create: worker_flightrecs must have one ring per shard";
         a
   in
-  (* [queue_capacity] is denominated in events: the ring holds roughly
-     that many in-flight events, split into frames. *)
-  let slots = max 2 ((queue_capacity + frame_size - 1) / frame_size) in
   let worker_metrics =
     Array.init shards (fun _ -> Obs.Metrics.create ~enabled:(Obs.Metrics.is_on metrics) ())
   in
@@ -579,7 +503,7 @@ let create ~shards ?(queue_capacity = 1024) ?(frame_size = default_frame_size) ?
     {
       shards;
       workers = Array.init shards make_worker;
-      rings = Array.init shards (fun _ -> Frame_ring.create ~slots ~frame_events:frame_size ());
+      rings = Array.init shards (fun _ -> Frame_ring.create ());
       pushed = Array.make shards 0;
       processed = Array.init shards (fun _ -> Atomic.make 0);
       domains = [||];
@@ -596,7 +520,6 @@ let create ~shards ?(queue_capacity = 1024) ?(frame_size = default_frame_size) ?
       enc_acc = Array.make shards 0.0;
       flightrec;
       worker_flightrecs;
-      max_bugs_per_kind;
       result = None;
     }
   in
@@ -604,32 +527,6 @@ let create ~shards ?(queue_capacity = 1024) ?(frame_size = default_frame_size) ?
   else t.inline_consumers <- Array.init shards (frame_consumer t);
   t
 
-(* The sink stages one frame's worth of events and routes the whole
-   batch with the two-pass classify/append loop. Staged events are only
-   parked between sink calls — the flush in [finish] runs before the
-   end-of-trace broadcast, so workers still see the complete stream. *)
-let sink ?name:(sink_name = "pmdebugger-sharded") ~shards ?queue_capacity ?frame_size ?domains ?metrics
-    ?flightrec ?worker_flightrecs ?max_bugs_per_kind make_worker =
-  let t =
-    create ~shards ?queue_capacity ?frame_size ?domains ?metrics ?flightrec ?worker_flightrecs
-      ?max_bugs_per_kind make_worker
-  in
-  let cap = Frame_ring.frame_events t.rings.(0) in
-  let buf = Array.make cap Event.Program_end in
-  let codes = Array.make cap 0 in
-  let fill = ref 0 in
-  let flush_batch () =
-    if !fill > 0 then begin
-      let n = !fill in
-      fill := 0;
-      route_batch t buf codes n
-    end
-  in
-  Sink.make ~name:sink_name
-    ~on_event:(fun ev ->
-      buf.(!fill) <- ev;
-      incr fill;
-      if !fill = cap then flush_batch ())
-    ~finish:(fun () ->
-      flush_batch ();
-      finish t)
+let sink ~shards ?domains ?metrics ?flightrec ?worker_flightrecs make_worker =
+  let t = create ~shards ?domains ?metrics ?flightrec ?worker_flightrecs make_worker in
+  Sink.make ~name:"pmdebugger-sharded" ~on_event:(route t) ~finish:(fun () -> finish t)

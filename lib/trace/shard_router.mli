@@ -11,19 +11,14 @@
 
     {b Transport.} The hand-off is {e frame-batched}: the router
     encodes each routed event into the destination shard's flat staging
-    buffer — no per-event allocation — and publishes a whole frame of
-    [frame_size] events with one atomic store; the worker decodes and
-    dispatches a frame at a time, bumping its progress counter once per
-    frame. Cross-shard barriers flush every shard's partial frame
-    before waiting on worker progress, so a stall observes every event
-    routed before it; [finish] flushes the final partial frames before
-    delivering the stop marker. Routing
-    itself is vectorized over the staged batch: one classification pass
-    turns a run of events into int target codes (shard id, broadcast,
-    drop, pinned-broadcast) and a second pass dispatches the run
-    without the per-event routing branch, stopping only at
-    state-mutating events (registrations, pinning multi-line stores)
-    that must go through the scalar path.
+    buffer — no per-event allocation — and publishes a whole frame
+    (the {!Frame_ring} default geometry: 4 frames of 256 events) with
+    one atomic store; the worker decodes and dispatches a frame at a
+    time, bumping its progress counter once per frame. Cross-shard
+    barriers flush every shard's partial frame before waiting on worker
+    progress, so a stall observes every event routed before it;
+    [finish] flushes the final partial frames before delivering the
+    stop marker.
 
     Routing paths for an address event (store / CLF):
     - {b fast}: a single unpinned line (or several lines, all one
@@ -54,13 +49,13 @@
 
     {b Equality contract.} The merged report's findings, causal chains
     and failure status are byte-identical (per
-    {!Bug.render_canonical}) to the [shards = 1] run — for {e every}
-    frame size, which the QCheck parity suites enforce —
-    provided workers are created with [~walk_dedup:false] (the merge
+    {!Bug.render_canonical}) to the [shards = 1] run, which the QCheck
+    parity suites enforce, provided workers are created with [~walk_dedup:false] (the merge
     performs the pending-walk dedup globally), bookkeeping stays below
     the spill-tree merge threshold and the array capacity
     (reorganization coarsens provenance), and per-kind finding counts
-    stay below [max_bugs_per_kind]. [stats] are merged over the union
+    stay below 1000, the detector's default cap, which the merge
+    re-applies. [stats] are merged over the union
     of keys across shards (summed per key; [avg_*] taken from the
     first shard carrying the key) rather than compared.
 
@@ -104,22 +99,12 @@ val max_prior_seqs : int
     location is held by at least one shard, and replicas only
     contribute duplicate seqs, which the union drops. *)
 
-val default_frame_size : int
-(** Events per published frame when [frame_size] is not given (256). *)
-
 val merge_store_obs : store_obs list -> store_obs
 
 val merge_clf_obs : clf_obs list -> clf_obs
 
 val sink :
-  ?name:string ->
   shards:int ->
-  ?queue_capacity:int
-    (** per-shard in-flight events, default 1024: the ring gets
-        [queue_capacity / frame_size] frame slots (min 2). *) ->
-  ?frame_size:int
-    (** events per published frame, default {!default_frame_size};
-        must be at least 1. *) ->
   ?domains:bool
     (** default true: one OCaml Domain per shard. [false] runs every
         worker inline on the caller's domain — events still encode,
@@ -168,11 +153,11 @@ val sink :
         trace ({!Obs.Tracecat}) pairs publish/pop records into flow
         arrows. Length must equal [shards]. The caller retains the
         array for dumping after [finish]. *) ->
-  ?max_bugs_per_kind:int (** cap re-applied to the merged report, default 1000 *) ->
   (int -> worker) ->
   Sink.t
 (** [sink ~shards make_worker] spawns the pipeline; [make_worker i] is
     called once per shard on the caller's domain. The sink's [finish]
     delivers an end-of-trace to every worker (idempotent when the trace
     already carried [Program_end]), flushes partial frames, stops and
-    joins the domains, and returns the merged canonical report. *)
+    joins the domains, and returns the merged canonical report. The
+    sink is named ["pmdebugger-sharded"]. *)

@@ -2,7 +2,8 @@
    Engine.finish_all fault containment, the shared exit-code table, the wire protocol
    (parse + QCheck round-trip), the socket-free session state machine,
    the inline worker pool, the 8-client fault-tolerance gate over a
-   real Unix-domain socket, and a protocol fuzz through Client.raw. *)
+   real Unix-domain socket, a protocol fuzz through Client.raw, and
+   connections that either side closes before the other is done. *)
 
 open Pmtrace
 module D = Pmdebugger.Detector
@@ -11,7 +12,7 @@ let canon (r : Bug.report) =
   Bug.render_canonical { r with Bug.bugs = List.sort Bug.compare_canonical r.Bug.bugs }
 
 (* ---------------------------------------------------------------- *)
-(* The per-session SPSC ring (Frame_ring): close semantics          *)
+(* The per-session Frame_ring: close semantics                      *)
 (* ---------------------------------------------------------------- *)
 
 let fence i = Event.Fence { tid = i }
@@ -505,6 +506,55 @@ let test_gate_eight_clients_two_misbehaving () =
   Domain.join handle;
   Alcotest.(check bool) "socket unlinked on shutdown" false (Sys.file_exists socket)
 
+(* A client that half-closes and then closes without reading its
+   result: the daemon's reply hits a closed peer. The daemon must drop
+   that one connection and keep serving. SIGPIPE is reset first, so
+   only the daemon's own handling can keep this process alive. *)
+let test_client_closes_before_result () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_default;
+  let socket = temp_socket () in
+  let metrics = Obs.Metrics.create () in
+  let handle = start_daemon ~metrics socket in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  let msg = Serve.Wire.hello_line (Serve.Wire.Session { name = "early-close"; lenient = false }) ^ "\n" ^ trace_body in
+  ignore (Unix.write_substring fd msg 0 (String.length msg));
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  Unix.close fd;
+  (match Serve.Client.replay_string ~socket ~name:"after-early-close" trace_body with
+  | Error e -> Alcotest.fail ("healthy client after an early close: " ^ e)
+  | Ok frame -> (
+      match frame.Serve.Wire.report with
+      | None -> Alcotest.fail "healthy client got no report"
+      | Some r ->
+          Alcotest.(check string) "byte-identical to offline replay" (canon (offline_report trace_body)) (canon r)));
+  (match Serve.Client.stats ~socket with
+  | Error e -> Alcotest.fail ("stats: " ^ e)
+  | Ok snap ->
+      Alcotest.(check bool) "the unread reply failed as a connection error" true
+        (Obs.Metrics.counter_value snap "serve_conn_errors_total" >= 1));
+  (match Serve.Client.stop ~socket with Ok () -> () | Error e -> Alcotest.fail ("stop: " ^ e));
+  Domain.join handle
+
+(* A strict session whose first line is malformed, with a body far
+   larger than the socket buffer: the daemon quarantines the session at
+   line 1 and closes while the client is still sending. The client must
+   stop sending and read the trace-error reply instead of reporting an
+   i/o error. *)
+let test_client_reads_reply_after_early_close () =
+  let socket = temp_socket () in
+  let metrics = Obs.Metrics.create () in
+  let handle = start_daemon ~metrics socket in
+  let body = "bogus\n" ^ String.concat "" (List.init 300_000 (fun _ -> "store 1 0 8\n")) in
+  (match Serve.Client.replay_string ~socket ~name:"bad-first-line" body with
+  | Error e -> Alcotest.fail ("client: " ^ e)
+  | Ok frame ->
+      Alcotest.(check string) "trace-error status" "trace-error" (Serve.Status.name frame.Serve.Wire.status);
+      Alcotest.(check (option string)) "the offline diagnostic" (Some "line 1: cannot parse event \"bogus\"")
+        frame.Serve.Wire.error);
+  (match Serve.Client.stop ~socket with Ok () -> () | Error e -> Alcotest.fail ("stop: " ^ e));
+  Domain.join handle
+
 let temp_dir () =
   let d = Filename.temp_file "pmdb-flightrec" "" in
   Sys.remove d;
@@ -888,10 +938,10 @@ let test_fuzz_protocol () =
 
 let suite =
   [
-    Alcotest.test_case "spsc close poisons producer side" `Quick test_frame_close_poisons_producer;
-    Alcotest.test_case "spsc pop drains then raises Closed" `Quick test_frame_close_drains_then_raises;
-    Alcotest.test_case "spsc close wakes a blocked producer" `Quick test_frame_close_wakes_blocked_producer;
-    Alcotest.test_case "spsc close wakes a blocked consumer" `Quick test_frame_close_wakes_blocked_consumer;
+    Alcotest.test_case "frame ring close poisons pushes" `Quick test_frame_close_poisons_producer;
+    Alcotest.test_case "frame ring drains, then Closed" `Quick test_frame_close_drains_then_raises;
+    Alcotest.test_case "frame ring close wakes producer" `Quick test_frame_close_wakes_blocked_producer;
+    Alcotest.test_case "frame ring close wakes consumer" `Quick test_frame_close_wakes_blocked_consumer;
     Alcotest.test_case "finish_all survives a raising finish" `Quick test_finish_all_survives_raising_finish;
     Alcotest.test_case "status exit-code table" `Quick test_status_exit_codes;
     Alcotest.test_case "wire parse_hello" `Quick test_wire_parse_hello;
@@ -912,4 +962,6 @@ let suite =
     Alcotest.test_case "stats_stream follow" `Quick test_stats_stream_follow;
     Alcotest.test_case "heatmap verb and shutdown trace" `Quick test_heatmap_verb_and_shutdown_trace;
     Alcotest.test_case "protocol fuzz" `Quick test_fuzz_protocol;
+    Alcotest.test_case "daemon survives an early close" `Quick test_client_closes_before_result;
+    Alcotest.test_case "client reads early-close reply" `Quick test_client_reads_reply_after_early_close;
   ]

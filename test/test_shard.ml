@@ -15,9 +15,9 @@ let canon (r : Bug.report) =
 let replay_plain ?mode ?backend ?(model = D.Strict) trace =
   Recorder.replay trace (D.sink (D.create ~model ?mode ?backend ()))
 
-let replay_sharded ?mode ?(model = D.Strict) ?(domains = false) ?frame_size ~shards trace =
+let replay_sharded ?mode ?(model = D.Strict) ?(domains = false) ~shards trace =
   Recorder.replay trace
-    (Shard_router.sink ~shards ~domains ?frame_size (fun _ -> D.worker (D.create ~model ?mode ~walk_dedup:false ())))
+    (Shard_router.sink ~shards ~domains (fun _ -> D.worker (D.create ~model ?mode ~walk_dedup:false ())))
 
 (* ---------------------------------------------------------------- *)
 (* Frame_ring: the batched transport                                 *)
@@ -340,7 +340,7 @@ let noop_worker _ =
 
 let test_stage_latency_disabled_overhead () =
   let n = 200_000 in
-  let sink = Shard_router.sink ~shards:2 ~domains:false ~frame_size:64 noop_worker in
+  let sink = Shard_router.sink ~shards:2 ~domains:false noop_worker in
   let t0 = Unix.gettimeofday () in
   for i = 1 to n do
     sink.Sink.on_event (Event.Store { addr = (i land 1023) * 8; size = 8; tid = 0 })
@@ -482,27 +482,22 @@ let test_merge_stats_union () =
    cadence plus a final pre-stop sample, so even a tiny run records a
    peak for every shard that saw traffic. *)
 let test_depth_gauge_on_small_runs () =
+  let reg = Obs.Metrics.create () in
+  let evs = ref [ Event.Register_pmem { base = 0; size = 512 } ] in
+  for i = 1 to 10 do
+    evs := Event.Store { addr = (i mod 2 * 64) + 8; size = 8; tid = 0 } :: !evs
+  done;
+  evs := Event.Program_end :: !evs;
+  let trace = Array.of_list (List.rev !evs) in
+  ignore
+    (Recorder.replay trace
+       (Shard_router.sink ~shards:2 ~metrics:reg (fun _ -> D.worker (D.create ~walk_dedup:false ()))));
+  let snap = Obs.Metrics.snapshot reg in
   List.iter
-    (fun frame_size ->
-      let reg = Obs.Metrics.create () in
-      let evs = ref [ Event.Register_pmem { base = 0; size = 512 } ] in
-      for i = 1 to 10 do
-        evs := Event.Store { addr = (i mod 2 * 64) + 8; size = 8; tid = 0 } :: !evs
-      done;
-      evs := Event.Program_end :: !evs;
-      let trace = Array.of_list (List.rev !evs) in
-      ignore
-        (Recorder.replay trace
-           (Shard_router.sink ~shards:2 ~frame_size ~metrics:reg (fun _ ->
-                D.worker (D.create ~walk_dedup:false ()))));
-      let snap = Obs.Metrics.snapshot reg in
-      List.iter
-        (fun shard ->
-          if Obs.Metrics.find snap ~labels:[ ("shard", shard) ] "shard_queue_depth_peak" = None then
-            Alcotest.failf "no depth peak for shard %s under frame_size %d (<64 events routed)" shard
-              frame_size)
-        [ "0"; "1" ])
-    [ 1; Shard_router.default_frame_size ]
+    (fun shard ->
+      if Obs.Metrics.find snap ~labels:[ ("shard", shard) ] "shard_queue_depth_peak" = None then
+        Alcotest.failf "no depth peak for shard %s (<64 events routed)" shard)
+    [ "0"; "1" ]
 
 (* ---------------------------------------------------------------- *)
 (* QCheck parity: random traces, sharded vs single                   *)
@@ -550,10 +545,8 @@ let trace_of (vars, ops) =
           else emit (Event.Join_strand { tid = 0 })
       | 9 -> emit (Event.Tx_log { obj_addr = a land lnot 7; size = 8; tid = 0 })
       | _ ->
-          (* Alternate short and long names so framed transports hit the
-             byte-full publish path (a frame that runs out of slot bytes
-             before the event-count threshold) — a long-record stream
-             used to wedge the router. *)
+          (* Alternate short and long names: records of several sizes
+             share a frame. *)
           let func = if s land 1 = 0 then "persist_obj" else String.make 60 'p' in
           emit (Event.Call { func; tid = 0 })
     )
@@ -561,11 +554,25 @@ let trace_of (vars, ops) =
   emit Event.Program_end;
   Array.of_list (List.rev !evs)
 
+let gen_var = QCheck.(pair (int_range 0 (lines - 1)) bool)
+
+let gen_op s = QCheck.(pair (int_range 0 10) (pair (int_range 0 (region - 1)) s))
+
 let gen_trace =
+  QCheck.(pair (list_of_size Gen.(0 -- 2) gen_var) (list_of_size Gen.(0 -- 60) (gen_op (int_range 1 4))))
+
+(* Long traces that span several 256-event frames per shard, so
+   full-frame publishes interleave with the partial-frame flushes of
+   cross-shard barriers. Most ops use size code 1 (one-line stores and
+   CLFs), which never stall; about one op in 40 is drawn from the full
+   mix and may stall. *)
+let gen_long_trace =
   QCheck.(
     pair
-      (list_of_size Gen.(0 -- 2) (pair (int_range 0 (lines - 1)) bool))
-      (list_of_size Gen.(0 -- 60) (pair (int_range 0 10) (pair (int_range 0 (region - 1)) (int_range 1 4)))))
+      (list_of_size Gen.(0 -- 2) gen_var)
+      (list_of_size Gen.(600 -- 1500) (frequency [ (40, gen_op (always 1)); (1, gen_op (int_range 1 4)) ])))
+
+let gen_parity_trace = QCheck.frequency [ (3, gen_trace); (1, gen_long_trace) ]
 
 (* Crash-image findings (cross-failure) are vacuously equal here: the
    rule needs a live PM state, which neither the plain nor the sharded
@@ -577,7 +584,8 @@ let parity_prop ?mode ?(model = D.Strict) ~shards input =
   canon (replay_sharded ?mode ~model ~shards trace) = expected
 
 let prop_parity_modes =
-  QCheck.Test.make ~name:"sharded report equals single run (3 modes x 2/4/8 shards, strict)" ~count:30 gen_trace
+  QCheck.Test.make ~name:"sharded report equals single run (3 modes x 2/4/8 shards, strict)" ~count:30
+    gen_parity_trace
     (fun input ->
       List.for_all
         (fun mode ->
@@ -587,41 +595,17 @@ let prop_parity_modes =
         [ Pmdebugger.Space.Hybrid; Pmdebugger.Space.Array_only; Pmdebugger.Space.Tree_only ])
 
 let prop_parity_relaxed_models =
-  QCheck.Test.make ~name:"sharded report equals single run (epoch and strand models)" ~count:25 gen_trace
+  QCheck.Test.make ~name:"sharded report equals single run (epoch and strand models)" ~count:25
+    gen_parity_trace
     (fun input ->
       List.for_all (fun model -> List.for_all (fun shards -> parity_prop ~model ~shards input) [ 2; 4 ])
         [ D.Epoch; D.Strand ])
 
 let prop_parity_domains =
-  QCheck.Test.make ~name:"sharded report equals single run (real domains)" ~count:6 gen_trace (fun input ->
-      let trace = trace_of input in
-      let expected = canon (replay_plain trace) in
-      canon (Recorder.replay trace (Shard_router.sink ~shards:2 (fun _ -> D.worker (D.create ~walk_dedup:false ())))) = expected)
-
-(* Frame-transport parity: the batched hand-off must stay byte-identical
-   to the single-shard run for every frame size — including fs 1 (a
-   frame per event) and fs 4096 (the whole trace staged until a barrier
-   or finish flushes it). *)
-let prop_parity_frame_sizes =
-  QCheck.Test.make ~name:"framed transport parity (frame sizes 1/7/64/4096 x 2/4/8 shards)" ~count:15
-    gen_trace (fun input ->
-      let trace = trace_of input in
-      let expected = canon (replay_plain trace) in
-      List.for_all
-        (fun frame_size ->
-          List.for_all
-            (fun shards -> canon (replay_sharded ~frame_size ~shards trace) = expected)
-            [ 2; 4; 8 ])
-        [ 1; 7; 64; 4096 ])
-
-let prop_parity_frames_domains =
-  QCheck.Test.make ~name:"framed transport parity (real domains, frame sizes 7 and 4096)" ~count:4 gen_trace
+  QCheck.Test.make ~name:"sharded report equals single run (real domains)" ~count:6 gen_long_trace
     (fun input ->
       let trace = trace_of input in
-      let expected = canon (replay_plain trace) in
-      List.for_all
-        (fun frame_size -> canon (replay_sharded ~domains:true ~frame_size ~shards:2 trace) = expected)
-        [ 7; 4096 ])
+      canon (replay_sharded ~domains:true ~shards:2 trace) = canon (replay_plain trace))
 
 (* Deterministic frame-boundary edge case: a cross-shard store arrives
    while both shards hold partially staged frames. The barrier must
@@ -645,21 +629,22 @@ let test_barrier_mid_frame () =
   List.iter
     (fun domains ->
       Alcotest.(check string) "report survives a mid-frame barrier" expected
-        (canon (replay_sharded ~domains ~frame_size:4096 ~shards:2 trace)))
+        (canon (replay_sharded ~domains ~shards:2 trace)))
     [ false; true ]
 
 (* Router-level regression for the byte-full publish bug: long Call
-   names make every frame fill by bytes (81-byte records, frame_size 16
-   → 704-byte slots → byte-full at 8 events) while the event-count
+   names make every frame fill by bytes (81-byte records in the default
+   10,304-byte slots → byte-full at 127 events) while the 256-event
    threshold is never reached. The router used to learn nothing about
    these frames (push returned 0): inline mode hung forever once the
-   ring's [slots] (4 here) filled, and shard_events_total missed their
-   event counts. *)
+   ring's 4 slots filled, and shard_events_total missed their event
+   counts. 1200 broadcast Calls fill each shard's ring twice over. *)
 let test_framed_byte_full_inline () =
   let reg = Obs.Metrics.create () in
   let long = String.make 60 'f' in
+  let calls = 1200 in
   let evs = ref [ Event.Register_pmem { base = 0; size = region } ] in
-  for i = 1 to 200 do
+  for i = 1 to calls do
     evs := Event.Call { func = long; tid = i land 3 } :: !evs
   done;
   evs := Event.Store { addr = 8; size = 8; tid = 0 } :: !evs;
@@ -668,18 +653,22 @@ let test_framed_byte_full_inline () =
   let expected = canon (replay_plain trace) in
   let got =
     Recorder.replay trace
-      (Shard_router.sink ~shards:2 ~domains:false ~frame_size:16 ~queue_capacity:64 ~metrics:reg
-         (fun _ -> D.worker (D.create ~walk_dedup:false ())))
+      (Shard_router.sink ~shards:2 ~domains:false ~metrics:reg (fun _ -> D.worker (D.create ~walk_dedup:false ())))
   in
   Alcotest.(check string) "report identical to the single run" expected (canon got);
-  (* Shard 0 sees every event: 202 broadcasts (Register_pmem, 200
+  (* Shard 0 sees every event: the broadcasts (Register_pmem, the
      Calls, Program_end), the line-0 store, and the finish-time
-     Program_end broadcast — 204 total; shard 1 sees the 203
-     broadcasts. Exactness requires byte-full frames to be counted. *)
+     Program_end broadcast; shard 1 sees the broadcasts only.
+     Exactness requires byte-full frames to be counted. *)
   let snap = Obs.Metrics.snapshot reg in
   let total shard = Obs.Metrics.counter_value snap ~labels:[ ("shard", shard) ] "shard_events_total" in
-  Alcotest.(check int) "shard 0 total exact" 204 (total "0");
-  Alcotest.(check int) "shard 1 total exact" 203 (total "1")
+  Alcotest.(check int) "shard 0 total exact" (calls + 4) (total "0");
+  Alcotest.(check int) "shard 1 total exact" (calls + 3) (total "1");
+  (* One worker frame-latency observation per consumed frame. *)
+  match Obs.Metrics.find snap ~labels:[ ("shard", "1") ] "shard_worker_frame_seconds" with
+  | Some (Obs.Metrics.V_hist h) ->
+      Alcotest.(check bool) "frames publish byte-full, below 256 events" true (h.Obs.Metrics.h_count >= calls / 127)
+  | _ -> Alcotest.fail "no frame-latency histogram for shard 1"
 
 let prop_flat_backend_equivalent =
   QCheck.Test.make ~name:"flat backend produces the hybrid backend's findings" ~count:40 gen_trace (fun input ->
@@ -780,8 +769,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_parity_modes;
     QCheck_alcotest.to_alcotest prop_parity_relaxed_models;
     QCheck_alcotest.to_alcotest prop_parity_domains;
-    QCheck_alcotest.to_alcotest prop_parity_frame_sizes;
-    QCheck_alcotest.to_alcotest prop_parity_frames_domains;
     QCheck_alcotest.to_alcotest prop_flat_backend_equivalent;
     Alcotest.test_case "flat store: lifecycle" `Quick test_flat_lifecycle;
     Alcotest.test_case "flat store: partial CLF splits" `Quick test_flat_partial_clf_splits;
