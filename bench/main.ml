@@ -511,14 +511,15 @@ let newbugs () =
 let ablation () =
   let n = 10_000 in
   let targets = [ Workloads.Btree.spec; Workloads.Hashmap_tx.spec; Workloads.Hashmap_atomic.spec ] in
+  let with_backend backend model = Pmdebugger.Detector.create ~model ~backend () in
   let variants =
     [
       ("hybrid (paper)", fun model -> Pmdebugger.Detector.create ~model ());
-      ("array-only", fun model -> Pmdebugger.Detector.create ~model ~mode:Pmdebugger.Space.Array_only ());
-      ("tree-only", fun model -> Pmdebugger.Detector.create ~model ~mode:Pmdebugger.Space.Tree_only ());
-      ("no interval metadata", fun model -> Pmdebugger.Detector.create ~model ~interval_metadata:false ());
-      ("merge threshold 50", fun model -> Pmdebugger.Detector.create ~model ~merge_threshold:50 ());
-      ("merge threshold 5000", fun model -> Pmdebugger.Detector.create ~model ~merge_threshold:5000 ());
+      ("array-only", with_backend (Pmdebugger.Space.backend ~mode:Pmdebugger.Space.Array_only ()));
+      ("tree-only", with_backend (Pmdebugger.Space.backend ~mode:Pmdebugger.Space.Tree_only ()));
+      ("no interval metadata", with_backend (Pmdebugger.Space.backend ~interval_metadata:false ()));
+      ("merge threshold 50", with_backend (Pmdebugger.Space.backend ~merge_threshold:50 ()));
+      ("merge threshold 5000", with_backend (Pmdebugger.Space.backend ~merge_threshold:5000 ()));
     ]
   in
   let rows =

@@ -889,8 +889,8 @@ let stats_cmd workload n detector config check check_prometheus diff files check
           Obs.Json.to_file path json;
           Printf.printf "metrics written to %s\n" path
 
-let serve_cmd socket workers idle_timeout session_budget max_sessions detector config metrics_file
-    flightrec_dir heatmap_cap trace_out stop probe =
+let serve_cmd socket workers idle_timeout session_budget max_sessions detector config metrics_file heatmap_cap
+    trace_out stop probe =
   if stop then (
     match Serve.Client.stop ~socket with
     | Ok () -> Printf.printf "daemon at %s stopped\n" socket
@@ -931,7 +931,6 @@ let serve_cmd socket workers idle_timeout session_budget max_sessions detector c
             session_budget;
             max_sessions;
             metrics_file;
-            flightrec_dir;
             heatmap_cap;
             trace_out;
           }
@@ -948,11 +947,9 @@ let serve_cmd socket workers idle_timeout session_budget max_sessions detector c
         (match metrics_file with
         | Some path -> Printf.printf "pmdb serve: Prometheus exposition -> %s (every %.1fs)\n%!" path cfg.Serve.Daemon.stream_interval
         | None -> ());
-        (match flightrec_dir with
-        | Some dir -> Printf.printf "pmdb serve: flight-recorder dumps -> %s\n%!" dir
-        | None -> ());
         (match trace_out with
-        | Some dir -> Printf.printf "pmdb serve: causal Perfetto traces -> %s (SIGQUIT or shutdown)\n%!" dir
+        | Some dir ->
+            Printf.printf "pmdb serve: flight-recorder dumps -> %s (quarantine, eviction, SIGQUIT, shutdown)\n%!" dir
         | None -> ());
         if heatmap_cap > 0 then
           Printf.printf "pmdb serve: hot-line heatmap on (cap %d lines/worker; query with `pmdb heatmap --daemon %s`)\n%!"
@@ -1136,13 +1133,6 @@ let metrics_file_arg =
   in
   Arg.(value & opt (some string) None & info [ "metrics-file" ] ~docv:"FILE" ~doc)
 
-let flightrec_dir_arg =
-  let doc =
-    "Directory for flight-recorder black-box dumps: on a session quarantine, an eviction or SIGQUIT the daemon \
-     writes the last events of every ring there as JSON and a Perfetto trace."
-  in
-  Arg.(value & opt (some string) None & info [ "flightrec-dir" ] ~docv:"DIR" ~doc)
-
 let heatmap_cap_arg =
   let doc =
     "Track the $(docv) hottest cache lines per worker (traffic, dirty virtual time, bug density); query the merged \
@@ -1152,9 +1142,10 @@ let heatmap_cap_arg =
 
 let serve_trace_out_arg =
   let doc =
-    "Directory for daemon-wide causal Perfetto traces: on SIGQUIT and at shutdown the dispatch domain's and every \
-     worker's flight-recorder rings are merged onto one time base (frame publish->pop flow arrows included) and \
-     written there. Requires flight recording, which is always on in the daemon."
+    "Directory for flight-recorder black-box dumps. With it, the dispatch domain and every worker record recent \
+     events into fixed rings; on a session quarantine, an eviction, SIGQUIT and at shutdown the rings are merged \
+     onto one time base and written there as one Perfetto trace, trace-<session|daemon>-<reason>-<n>.perfetto.json. \
+     Without it nothing is recorded."
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"DIR" ~doc)
 
@@ -1172,8 +1163,8 @@ let probe_arg =
 let serve_term =
   Term.(
     const serve_cmd $ socket_arg $ workers_arg $ idle_timeout_arg $ session_budget_arg $ max_sessions_arg
-    $ detector_arg $ config_arg $ metrics_file_arg
-    $ flightrec_dir_arg $ heatmap_cap_arg $ serve_trace_out_arg $ serve_stop_arg $ probe_arg)
+    $ detector_arg $ config_arg $ metrics_file_arg $ heatmap_cap_arg $ serve_trace_out_arg $ serve_stop_arg
+    $ probe_arg)
 
 let case_arg =
   let doc = "Explore a bugbench case by id instead of a workload." in

@@ -113,15 +113,11 @@ type t = {
   mutable silent : bool;
 }
 
-let create ?(model = Strict) ?rules ?(config = Order_config.empty) ?backend ?array_capacity ?merge_threshold ?mode
-    ?interval_metadata ?pm ?recovery ?(crash_check_every_fence = false) ?(max_bugs_per_kind = 1000)
-    ?(walk_dedup = true) ?(metrics = Obs.Metrics.disabled) ?(heatmap = Obs.Heatmap.disabled) () =
+let create ?(model = Strict) ?rules ?(config = Order_config.empty) ?backend ?pm ?recovery
+    ?(crash_check_every_fence = false) ?(max_bugs_per_kind = 1000) ?(walk_dedup = true)
+    ?(metrics = Obs.Metrics.disabled) ?(heatmap = Obs.Heatmap.disabled) () =
   let rules = match rules with Some r -> r | None -> default_rules model in
-  let make_space =
-    match backend with
-    | Some b -> b
-    | None -> Space.backend ?array_capacity ?merge_threshold ?mode ?interval_metadata ~metrics ()
-  in
+  let make_space = match backend with Some b -> b | None -> Space.backend ~metrics () in
   (* Declare one zero counter per rule so a run's metrics file always
      carries the complete per-rule vector, fired or not. *)
   if Obs.Metrics.is_on metrics then

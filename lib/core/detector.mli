@@ -34,15 +34,12 @@ val create :
   ?rules:rule_set (** default [default_rules model] *) ->
   ?config:Order_config.t ->
   ?backend:Store_intf.backend
-    (** bookkeeping backend factory; overrides the four knobs below.
-        Default: {!Space.backend} (the paper's hybrid structure). *) ->
-  ?array_capacity:int
-    (** default 100_000: the location array's logical spill bound —
-        stores past it in one fence interval go to the tree. Storage
-        grows on demand; nothing is preallocated. *) ->
-  ?merge_threshold:int ->
-  ?mode:Space.mode ->
-  ?interval_metadata:bool ->
+    (** bookkeeping backend factory. Default: {!Space.backend} with
+        its default knobs and this detector's [metrics] (the paper's
+        hybrid structure). For the hybrid space with other knobs —
+        array capacity, merge threshold, array-only or tree-only mode,
+        no interval metadata — pass [Space.backend ~mode ()] and the
+        like. *) ->
   ?pm:Pmem.State.t (** live PM state, required for cross-failure checks *) ->
   ?recovery:(Pmem.Image.t -> bool) ->
   ?crash_check_every_fence:bool (** default false: check at program end only *) ->

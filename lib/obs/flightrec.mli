@@ -1,8 +1,9 @@
-(** Always-on flight recorder: a fixed-capacity ring buffer of recent
-    structured events — the daemon's black box. When a session is
-    quarantined, evicted, or the daemon gets [SIGQUIT], the last-N
-    window is dumped (JSON, and Perfetto through {!Tracecat.merge}) so
-    the evidence of what the tool was doing survives the failure.
+(** Flight recorder: a fixed-capacity ring buffer of recent structured
+    events — the daemon's black box. A daemon started with a dump
+    directory records into rings; when a session is quarantined or
+    evicted, on [SIGQUIT] and at shutdown, it renders every ring into
+    one Perfetto document through {!Tracecat.merge}, so the evidence
+    of what the tool was doing survives the failure.
 
     Design constraints, in order:
 
@@ -14,7 +15,7 @@
       unconditionally, and the bench overhead guard pins it.
     - Single-domain by design: a ring is mutated only by the domain
       that owns it. Multi-domain components (the serve {!Pool}) give
-      each worker its own ring and dump them side by side.
+      each worker its own ring and merge them at dump time.
 
     Entry shape: a [cat] (e.g. ["dispatch"], ["session"],
     ["backpressure"], ["quarantine"]), a [name] within the category, a
@@ -65,22 +66,6 @@ type entry = {
 val window : ?last:int -> t -> entry list
 (** The most recent [last] entries (default: everything still in the
     ring), oldest first. *)
-
-(** {1 Dumps} *)
-
-val schema_id : string
-(** ["pmdb-flightrec/v1"]. *)
-
-val dump_to_json : ?last:int -> ?meta:(string * Json.t) list -> (string * t) list -> Json.t
-(** Dump one or more labelled rings
-    ([("dispatch", ring); ("worker-0", ring); ...]) as one document:
-    [{"schema": "pmdb-flightrec/v1", "meta": {...}, "rings": [...]}].
-    [meta] carries dump context — the quarantine reason, the failing
-    session's name. *)
-
-val validate_json : Json.t -> (int, string) result
-(** Structural check of a {!dump_to_json} document; returns the total
-    entry count across rings. *)
 
 val render_entries : Perfetto.t -> tid:int -> us:(float -> int) -> entry list -> unit
 (** Render one ring's window onto thread track [tid]; {!Tracecat.merge}

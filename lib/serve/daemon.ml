@@ -6,12 +6,9 @@ type config = {
   session_budget : int;
   idle_timeout : float;
   max_sessions : int;
-  pending_watermark : int;
   tick : float;
   stream_interval : float;
   metrics_file : string option;
-  flightrec_capacity : int;
-  flightrec_dir : string option;
   heatmap_cap : int;
   trace_out : string option;
 }
@@ -23,15 +20,15 @@ let default_config ~socket =
     session_budget = 8 lsl 20;
     idle_timeout = 30.0;
     max_sessions = 64;
-    pending_watermark = 4096;
     tick = 0.02;
     stream_interval = 1.0;
     metrics_file = None;
-    flightrec_capacity = 512;
-    flightrec_dir = None;
     heatmap_cap = 0;
     trace_out = None;
   }
+
+(* Parked events before a session's fd stops being read. *)
+let parked_limit = 4096
 
 (* A stats_stream subscriber: [remaining] frames still owed (-1 means
    until disconnect), [last_frame] when the previous one went out. *)
@@ -62,7 +59,7 @@ type conn = {
 type t = {
   cfg : config;
   metrics : Obs.Metrics.t;
-  flightrec : Obs.Flightrec.t; (* dispatch-domain ring, wall-clock timestamps *)
+  flightrec : Obs.Flightrec.t; (* dispatch-domain ring, wall-clock timestamps; disabled without trace_out *)
   listener : Unix.file_descr;
   stop_r : Unix.file_descr;
   stop_w : Unix.file_descr;
@@ -85,59 +82,37 @@ let session_label s = [ ("session", Session.name s) ]
 let record t ~cat ~name ~a ~b =
   if Obs.Flightrec.is_on t.flightrec then Obs.Flightrec.record t.flightrec ~ts:(now ()) ~cat ~name ~a ~b
 
-(* The black-box dump: the dispatch ring plus every worker ring,
-   written as JSON and as a Perfetto trace. Best-effort by design — a
-   failing dump must never take the daemon down. *)
-let dump_flightrec t ~reason ~session =
-  match t.cfg.flightrec_dir with
+(* Render to a temp file, then rename into place, so a reader never
+   sees a half-written file. Best-effort by design — a failing write
+   must never take the daemon down. *)
+let write_atomic path contents =
+  try
+    let tmp = path ^ ".tmp" in
+    let oc = open_out tmp in
+    output_string oc contents;
+    close_out oc;
+    Sys.rename tmp path
+  with Sys_error _ -> ()
+
+(* The black-box dump: the dispatch ring and every worker ring merged
+   into one causal Perfetto document (one track per domain). The rings
+   are on exactly when [trace_out] is set. *)
+let dump t ~reason ~session =
+  match t.cfg.trace_out with
   | None -> ()
-  | Some dir when Obs.Flightrec.is_on t.flightrec ->
+  | Some dir ->
       let n = t.dump_seq in
       t.dump_seq <- n + 1;
       let rings = ("dispatch", t.flightrec) :: Pool.flightrec_rings t.pool in
-      let meta =
+      let metadata =
         [
           ("reason", Obs.Json.Str reason);
           ("session", Obs.Json.Str session);
           ("time", Obs.Json.Float (now ()));
         ]
       in
-      let base = Filename.concat dir (Printf.sprintf "flightrec-%s-%s-%d" session reason n) in
-      let write path json =
-        try
-          let tmp = path ^ ".tmp" in
-          let oc = open_out tmp in
-          output_string oc (Obs.Json.to_string ~indent:true json);
-          output_char oc '\n';
-          close_out oc;
-          Sys.rename tmp path
-        with Sys_error _ -> ()
-      in
-      write (base ^ ".json") (Obs.Flightrec.dump_to_json ~meta rings);
-      write (base ^ ".perfetto.json") (Obs.Tracecat.merge ~metadata:meta rings)
-  | Some _ -> ()
-
-(* The daemon-wide causal trace: every ring merged into one Perfetto
-   document (one track per domain, flow arrows pairing frame
-   publish/pop). Same best-effort discipline as dump_flightrec. *)
-let dump_trace t ~reason =
-  match t.cfg.trace_out with
-  | None -> ()
-  | Some dir when Obs.Flightrec.is_on t.flightrec ->
-      let n = t.dump_seq in
-      t.dump_seq <- n + 1;
-      let rings = ("dispatch", t.flightrec) :: Pool.flightrec_rings t.pool in
-      let metadata = [ ("reason", Obs.Json.Str reason); ("time", Obs.Json.Float (now ())) ] in
-      let path = Filename.concat dir (Printf.sprintf "trace-%s-%d.perfetto.json" reason n) in
-      (try
-         let tmp = path ^ ".tmp" in
-         let oc = open_out tmp in
-         output_string oc (Obs.Json.to_string ~indent:true (Obs.Tracecat.merge ~metadata rings));
-         output_char oc '\n';
-         close_out oc;
-         Sys.rename tmp path
-       with Sys_error _ -> ())
-  | Some _ -> ()
+      let path = Filename.concat dir (Printf.sprintf "trace-%s-%s-%d.perfetto.json" session reason n) in
+      write_atomic path (Obs.Json.to_string ~indent:true (Obs.Tracecat.merge ~metadata rings) ^ "\n")
 
 (* {2 Socket plumbing} *)
 
@@ -180,7 +155,7 @@ let create ?(metrics = Obs.Metrics.disabled) ~make_sink cfg =
   let stop_r, stop_w = Unix.pipe () in
   Unix.set_nonblock stop_r;
   Unix.set_nonblock stop_w;
-  let flightrec_on = cfg.flightrec_capacity > 0 in
+  let recording = cfg.trace_out <> None in
   (* Workers wake the select loop through the self-pipe. [woken]
      coalesces them to one unread byte, so the pipe never fills and a
      stop request always finds room. *)
@@ -192,7 +167,7 @@ let create ?(metrics = Obs.Metrics.disabled) ~make_sink cfg =
   let pool =
     Pool.create
       ~worker_metrics:(Obs.Metrics.is_on metrics)
-      ?flightrec_capacity:(if flightrec_on then Some cfg.flightrec_capacity else None)
+      ~flightrec:recording
       ?heatmap_cap:(if cfg.heatmap_cap > 0 then Some cfg.heatmap_cap else None)
       ~wake ~workers:cfg.workers make_sink
   in
@@ -217,9 +192,7 @@ let create ?(metrics = Obs.Metrics.disabled) ~make_sink cfg =
   {
     cfg;
     metrics;
-    flightrec =
-      (if flightrec_on then Obs.Flightrec.create ~capacity:cfg.flightrec_capacity ()
-       else Obs.Flightrec.disabled);
+    flightrec = (if recording then Obs.Flightrec.create () else Obs.Flightrec.disabled);
     listener;
     stop_r;
     stop_w;
@@ -377,14 +350,14 @@ let quarantine_trace t conn session slot msg =
   Obs.Metrics.inc t.metrics ~labels:[ ("reason", "trace") ] "serve_quarantines_total";
   Session.terminate session Status.Trace_error (Some msg);
   record t ~cat:"quarantine" ~name:"trace" ~a:(Session.id session) ~b:0;
-  dump_flightrec t ~reason:"trace-quarantine" ~session:(Session.name session);
+  dump t ~reason:"trace-quarantine" ~session:(Session.name session);
   begin_finish t conn session slot ~drop:false
 
 let quarantine_detector t conn session slot msg ~drop =
   Obs.Metrics.inc t.metrics ~labels:[ ("reason", "detector") ] "serve_quarantines_total";
   Session.terminate session Status.Detector_error (Some msg);
   record t ~cat:"quarantine" ~name:"detector" ~a:(Session.id session) ~b:0;
-  dump_flightrec t ~reason:"detector-quarantine" ~session:(Session.name session);
+  dump t ~reason:"detector-quarantine" ~session:(Session.name session);
   if drop then begin_finish t conn session slot ~drop:true
 
 let feed_session t conn session slot bytes_read =
@@ -543,7 +516,7 @@ let tick_conn t conn =
       conn.stalled <- false;
       (* Fd-throttling rung changes are flight-recorder events: the
          black box shows when flow control engaged around a failure. *)
-      let throttled_now = Session.pending_events session >= t.cfg.pending_watermark in
+      let throttled_now = Session.pending_events session >= parked_limit in
       if throttled_now <> conn.throttled then begin
         conn.throttled <- throttled_now;
         record t ~cat:"backpressure"
@@ -563,7 +536,7 @@ let tick_conn t conn =
                     (Session.live_bytes session) t.cfg.session_budget));
             record t ~cat:"backpressure" ~name:"evict" ~a:(Session.id session)
               ~b:(Session.live_bytes session);
-            dump_flightrec t ~reason:"eviction" ~session:(Session.name session);
+            dump t ~reason:"eviction" ~session:(Session.name session);
             begin_finish t conn session slot ~drop:true
           end
           else if
@@ -604,19 +577,12 @@ let tick_conn t conn =
 
 (* {2 Prometheus metrics file} *)
 
-(* Atomic periodic exposition: render to a temp file, rename into
-   place, so a scraper never reads a half-written document. *)
+(* Atomic periodic exposition: a scraper never reads a half-written
+   document. *)
 let write_metrics_file t =
   match t.cfg.metrics_file with
   | None -> ()
-  | Some path -> (
-      try
-        let tmp = path ^ ".tmp" in
-        let oc = open_out tmp in
-        output_string oc (Obs.Prometheus.render (merged_snapshot t));
-        close_out oc;
-        Sys.rename tmp path
-      with Sys_error _ -> ())
+  | Some path -> write_atomic path (Obs.Prometheus.render (merged_snapshot t))
 
 (* {2 Accept} *)
 
@@ -645,14 +611,14 @@ let accept_loop t =
 
 (* {2 The main loop} *)
 
-let wants_read t conn =
+let wants_read conn =
   match conn.kind with
   | Hello _ -> true
   | Streaming (session, _) ->
       (* Throttle a session outrunning its worker: stop reading its fd,
          so the kernel socket buffer fills and the client's writes
          block — flow control for free. *)
-      (not conn.eof) && Session.pending_events session < t.cfg.pending_watermark
+      (not conn.eof) && Session.pending_events session < parked_limit
   | Stats_stream _ -> not conn.eof
   | Finishing _ | Awaiting _ -> not conn.eof
 
@@ -681,7 +647,7 @@ let run t =
       Pool.stop t.pool;
       (* Workers have joined: the final exposition is exact. *)
       write_metrics_file t;
-      dump_trace t ~reason:"shutdown";
+      dump t ~reason:"shutdown" ~session:"daemon";
       close_fd t.listener;
       close_fd t.stop_r;
       close_fd t.stop_w;
@@ -689,14 +655,14 @@ let run t =
   @@ fun () ->
   let drain_stop_pipe () =
     let b = Bytes.create 16 in
-    let dump = ref false in
+    let dump_requested = ref false in
     let rec go () =
       match Unix.read t.stop_r b 0 16 with
       | n ->
           for i = 0 to n - 1 do
             match Bytes.get b i with
             | 's' -> t.stopping <- true
-            | 'q' -> dump := true
+            | 'q' -> dump_requested := true
             | _ -> ()
           done;
           if n = 16 then go ()
@@ -707,10 +673,7 @@ let run t =
        the bytes just read (and its work is seen by this pass) or
        writes a fresh byte that wakes the next select. *)
     Atomic.set t.woken false;
-    if !dump then begin
-      dump_flightrec t ~reason:"sigquit" ~session:"daemon";
-      dump_trace t ~reason:"sigquit"
-    end
+    if !dump_requested then dump t ~reason:"sigquit" ~session:"daemon"
   in
   let shutdown_started = ref false in
   let continue = ref true in
@@ -718,7 +681,7 @@ let run t =
     let read_fds =
       t.stop_r
       :: (if t.stopping then [] else [ t.listener ])
-      @ List.filter_map (fun c -> if wants_read t c then Some c.fd else None) t.conns
+      @ List.filter_map (fun c -> if wants_read c then Some c.fd else None) t.conns
     in
     let readable, _, _ =
       match Unix.select read_fds [] [] t.cfg.tick with

@@ -15,7 +15,7 @@
     + the session's ring (1024 events) — full means the dispatch domain
       stops submitting (non-blocking {!Pool.try_submit}) and parks
       events in the session's pending queue until the worker's wake-up;
-    + the pending queue crossing [pending_watermark] — the daemon stops
+    + the pending queue crossing 4096 parked events — the daemon stops
       [select]ing that client's fd, so the kernel socket buffer fills
       and the client's writes block (flow control without a protocol);
     + the session's {!Session.live_bytes} crossing [session_budget] —
@@ -40,13 +40,17 @@
     metrics-file write, so the numbers are whole-daemon truth — not
     just the dispatch domain's view.
 
-    The daemon also keeps an always-on flight recorder
+    With [trace_out] set, the daemon keeps a flight recorder
     ({!Obs.Flightrec}): a fixed ring of recent session transitions,
     quarantines, and backpressure rung changes on the dispatch domain,
-    plus one ring per worker fed by engine dispatch. On a quarantine,
-    an eviction, or SIGQUIT, the last-N window of every ring is dumped
-    into [flightrec_dir] as JSON and a Perfetto trace — a black box
-    for "what led up to this?" with no tracing enabled in advance.
+    plus one ring per worker fed by engine dispatch. On a trace or
+    detector quarantine, an eviction, SIGQUIT, and at shutdown, every
+    ring is merged into one Perfetto document ({!Obs.Tracecat.merge})
+    and written to [trace_out] as
+    [trace-<session|daemon>-<reason>-<n>.perfetto.json], with the
+    reason and session in its [metadata] — a black box for "what led
+    up to this?". Without [trace_out] there are no rings: engine
+    dispatch pays one disabled-branch check per event.
 
     When [metrics_file] is set, a Prometheus text-format rendering of
     the merged snapshot is written atomically (temp file + rename)
@@ -58,7 +62,6 @@ type config = {
   session_budget : int;  (** bytes a session may hold in the daemon (default 8 MiB) *)
   idle_timeout : float;  (** seconds; [<= 0.] disables reaping (default 30) *)
   max_sessions : int;  (** connection cap (default 64) *)
-  pending_watermark : int;  (** parked events before fd throttling (default 4096) *)
   tick : float;
       (** select timeout: the cadence of idle reaping, stats streaming
           and metrics-file writes (default 20 ms). Event hand-over and
@@ -69,21 +72,14 @@ type config = {
   metrics_file : string option;
       (** write Prometheus text exposition here periodically (default
           [None]) *)
-  flightrec_capacity : int;
-      (** slots per flight-recorder ring; [0] disables recording
-          entirely (default 512) *)
-  flightrec_dir : string option;
-      (** where black-box dumps land; [None] records but never dumps
-          (default [None]) *)
   heatmap_cap : int;
       (** distinct cache lines each worker's hot-line table tracks;
           [0] disables the heatmap entirely (default 0) *)
   trace_out : string option;
-      (** where daemon-wide causal Perfetto traces land
-          ({!Obs.Tracecat}: every flight-recorder ring merged, one
-          track per domain, flow arrows pairing frame publish/pop),
-          dumped on SIGQUIT and at shutdown; [None] never dumps
-          (default [None]) *)
+      (** the black-box dump directory: when set, the daemon records
+          into flight-recorder rings and writes one merged Perfetto
+          document per dump event (see Observability above); [None]
+          records nothing and never dumps (default [None]) *)
 }
 
 val default_config : socket:string -> config
@@ -111,8 +107,8 @@ val create :
 
 val run : t -> unit
 (** Serve until stopped; drains sessions, stops workers, writes the
-    final metrics file, closes and unlinks the socket before returning
-    (also on exception). *)
+    final metrics file and the shutdown dump, closes and unlinks the
+    socket before returning (also on exception). *)
 
 val request_stop : t -> unit
 (** Trigger graceful shutdown from a signal handler or another domain
@@ -121,8 +117,8 @@ val request_stop : t -> unit
 
 val request_dump : t -> unit
 (** Ask the dispatch loop to dump the flight recorder (reason
-    [sigquit]) without stopping; a no-op when [flightrec_dir] is
-    unset. *)
+    [sigquit], session [daemon]) without stopping; a no-op when
+    [trace_out] is unset. *)
 
 val install_signal_handlers : t -> unit
 (** Route SIGTERM and SIGINT to {!request_stop}, SIGQUIT to

@@ -166,8 +166,7 @@ let worker_loop t st =
     end
   done
 
-let create ?(domains = true) ?(worker_metrics = false) ?flightrec_capacity ?heatmap_cap ~wake ~workers
-    make_sink =
+let create ?(domains = true) ?(worker_metrics = false) ?(flightrec = false) ?heatmap_cap ~wake ~workers make_sink =
   if workers < 1 then invalid_arg "Pool.create: workers must be >= 1";
   let states =
     Array.init workers (fun i ->
@@ -179,11 +178,7 @@ let create ?(domains = true) ?(worker_metrics = false) ?flightrec_capacity ?heat
           List.iter
             (fun name -> Obs.Metrics.inc reg ~labels ~by:0 name)
             [ "serve_worker_sessions_total"; "serve_worker_events_total"; "serve_worker_finishes_total" ];
-        let flightrec =
-          match flightrec_capacity with
-          | None -> Obs.Flightrec.disabled
-          | Some capacity -> Obs.Flightrec.create ~capacity ()
-        in
+        let flightrec = if flightrec then Obs.Flightrec.create () else Obs.Flightrec.disabled in
         let heatmap =
           match heatmap_cap with
           | None -> Obs.Heatmap.disabled

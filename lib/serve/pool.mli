@@ -64,11 +64,12 @@ val create :
         events, so the dispatch domain can fold live worker truth into
         {!Obs.Metrics.merge}d stats without sharing a registry across
         domains. *) ->
-  ?flightrec_capacity:int
-    (** when given, each worker records into its own
-        {!Obs.Flightrec} ring of this capacity (engine dispatch with
-        virtual seq timestamps); see {!flightrec_rings}. Default:
-        disabled rings. *) ->
+  ?flightrec:bool
+    (** default false: [true] gives each worker its own
+        {!Obs.Flightrec} ring at the default capacity, fed by engine
+        dispatch with virtual seq timestamps; see {!flightrec_rings}.
+        [false] leaves every worker on the disabled ring, so dispatch
+        pays one branch per event. *) ->
   ?heatmap_cap:int
     (** when given, each worker owns an enabled {!Obs.Heatmap} of this
         cap, handed to [make_sink] so the session detectors feed it;
@@ -127,7 +128,7 @@ val heatmap_snapshots : t -> Obs.Heatmap.snapshot list
 
 val flightrec_rings : t -> (string * Obs.Flightrec.t) list
 (** The per-worker flight-recorder rings, labelled ["worker-<i>"], for
-    {!Obs.Flightrec.dump_to_json}. Reading a ring while its worker is
+    {!Obs.Tracecat.merge}. Reading a ring while its worker is
     live is a benign data race (each entry read sees some
     previously-written value — memory-safe, possibly torn across
     fields): fine for a best-effort black-box dump, not for exact

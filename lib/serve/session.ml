@@ -106,23 +106,39 @@ let accept_line t line =
       end
       else fail t (Printf.sprintf "line %d: %s" t.lines msg)
 
+(* The first newline in [buf] at or after [i] and before [stop], or
+   [stop]. Bounded, unlike [Bytes.index_from]: a short read into a large
+   reused buffer must not scan the stale bytes after it. *)
+let rec newline buf i stop = if i >= stop || Bytes.get buf i = '\n' then i else newline buf (i + 1) stop
+
+(* Whole segments, not bytes: each newline ends a line, parsed straight
+   from the chunk unless a partial line from an earlier chunk is
+   pending; the unterminated tail waits in [partial]. A strict failure
+   stops the split, so bytes after the bad line are dropped. *)
 let feed t ~now buf ~off ~len =
   t.last_activity <- now;
   t.bytes_read <- t.bytes_read + len;
-  let result = ref (Ok ()) in
-  let i = ref off in
   let stop = off + len in
-  while !result = Ok () && !i < stop do
-    let c = Bytes.get buf !i in
-    incr i;
-    if c = '\n' then begin
-      let line = Buffer.contents t.partial in
-      Buffer.clear t.partial;
-      result := accept_line t line
+  let rec go i =
+    let j = newline buf i stop in
+    if j = stop then begin
+      Buffer.add_subbytes t.partial buf i (stop - i);
+      Ok ()
     end
-    else Buffer.add_char t.partial c
-  done;
-  !result
+    else begin
+      let line =
+        if Buffer.length t.partial = 0 then Bytes.sub_string buf i (j - i)
+        else begin
+          Buffer.add_subbytes t.partial buf i (j - i);
+          let line = Buffer.contents t.partial in
+          Buffer.clear t.partial;
+          line
+        end
+      in
+      match accept_line t line with Ok () -> go (j + 1) | Error _ as e -> e
+    end
+  in
+  go off
 
 let flush_partial t =
   if Buffer.length t.partial = 0 then Ok ()

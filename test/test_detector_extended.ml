@@ -51,7 +51,7 @@ let test_detector_array_overflow () =
      spills to the tree and detection still works. *)
   let r =
     run
-      ~create:(fun ~model -> D.create ?model ~array_capacity:8 ())
+      ~create:(fun ~model -> D.create ?model ~backend:(Pmdebugger.Space.backend ~array_capacity:8 ()) ())
       (fun e ->
         for i = 0 to 63 do
           Engine.store_i64 e ~addr:(1024 + (i * 64)) 1L

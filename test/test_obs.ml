@@ -442,26 +442,6 @@ let test_flightrec_disabled () =
   F.record r ~ts:2.0 ~cat:"x" ~name:"y" ~a:3 ~b:4;
   Alcotest.(check int) "records only while enabled" 1 (F.recorded r)
 
-let test_flightrec_dump_json () =
-  let r = F.create ~capacity:8 () in
-  List.iteri
-    (fun i (cat, name, b) -> F.record r ~ts:(0.1 *. float_of_int i) ~cat ~name ~a:7 ~b)
-    [ ("session", "open", 0); ("dispatch", "store", 0); ("quarantine", "detector", 0); ("session", "detector-error", 1) ];
-  let doc = F.dump_to_json ~meta:[ ("reason", J.Str "test"); ("session", J.Str "s7") ] [ ("dispatch", r) ] in
-  (match F.validate_json doc with
-  | Ok n -> Alcotest.(check int) "all entries dumped" 4 n
-  | Error msg -> Alcotest.fail msg);
-  (match J.member "schema" doc with
-  | Some (J.Str s) -> Alcotest.(check string) "schema id" F.schema_id s
-  | _ -> Alcotest.fail "schema missing");
-  (match Option.bind (J.member "meta" doc) (J.member "session") with
-  | Some (J.Str "s7") -> ()
-  | _ -> Alcotest.fail "meta lost");
-  (* The window cap applies per ring. *)
-  match F.validate_json (F.dump_to_json ~last:2 [ ("dispatch", r) ]) with
-  | Ok n -> Alcotest.(check int) "last-N window" 2 n
-  | Error msg -> Alcotest.fail msg
-
 let test_flightrec_perfetto () =
   let r = F.create ~capacity:32 () in
   (* Two session lifecycles (one terminal, one left open) + noise. *)
@@ -492,8 +472,8 @@ let test_flightrec_perfetto () =
   Alcotest.(check int) "terminal instant" 1 (session "i");
   Alcotest.(check int) "open session slice" 1 (session "B")
 
-(* Mirror of test_disabled_overhead for the recorder: the always-on
-   hook may cost one branch when off. *)
+(* Mirror of test_disabled_overhead for the recorder: the engine's
+   unconditional hook may cost one branch when off. *)
 let test_flightrec_disabled_overhead () =
   let r = F.disabled in
   let t0 = Unix.gettimeofday () in
@@ -865,7 +845,6 @@ let suite =
     Alcotest.test_case "absorb-disabled-noop" `Quick test_absorb_disabled_noop;
     Alcotest.test_case "flightrec-wraparound" `Quick test_flightrec_wraparound;
     Alcotest.test_case "flightrec-disabled" `Quick test_flightrec_disabled;
-    Alcotest.test_case "flightrec-dump-json" `Quick test_flightrec_dump_json;
     Alcotest.test_case "flightrec-perfetto" `Quick test_flightrec_perfetto;
     Alcotest.test_case "flightrec-disabled-overhead" `Quick test_flightrec_disabled_overhead;
     Alcotest.test_case "heatmap-counting-dirty" `Quick test_heatmap_counting_and_dirty;

@@ -259,6 +259,9 @@ let drain_events s =
 
 let mk_session ?(lenient = false) () = Serve.Session.create ~id:0 ~name:"s" ~lenient ~now:0.0
 
+let memcached_trace n =
+  Recorder.record (fun e -> Workloads.Memcached.spec.Workloads.Workload.run (Workloads.Workload.params ~n ()) e)
+
 let test_session_chunk_boundaries_invisible () =
   let text = "register_pmem 0 4096\nstore 1 0 8\nclf clwb 1 0 8\nfence 1\nprogram_end\n" in
   let whole = mk_session () in
@@ -268,7 +271,47 @@ let test_session_chunk_boundaries_invisible () =
   let evs_whole = drain_events whole and evs_byte = drain_events bytewise in
   Alcotest.(check int) "same event count" (List.length evs_whole) (List.length evs_byte);
   Alcotest.(check bool) "same events" true (evs_whole = evs_byte);
-  Alcotest.(check int) "same bytes_read" (Serve.Session.bytes_read whole) (Serve.Session.bytes_read bytewise)
+  Alcotest.(check int) "same bytes_read" (Serve.Session.bytes_read whole) (Serve.Session.bytes_read bytewise);
+  (* A real ~10 KB trace body, unterminated last line included, at
+     chunk sizes that split it everywhere: every size parses event for
+     event like the offline parser, with the same byte accounting. *)
+  let body = Trace_io.to_string (memcached_trace 300) in
+  let body = String.sub body 0 (String.length body - 1) in
+  let lines = List.length (String.split_on_char '\n' body) in
+  if lines < 200 || lines > 1000 then Alcotest.failf "memcached body has %d lines" lines;
+  let expected = match Trace_io.of_string body with Ok t -> Array.to_list t | Error e -> Alcotest.fail e in
+  List.iter
+    (fun chunk ->
+      let s = mk_session () in
+      Alcotest.(check bool) (Printf.sprintf "chunk %d feed ok" chunk) true (feed_string ~chunk s body = Ok ());
+      Alcotest.(check int) (Printf.sprintf "chunk %d bytes_read" chunk) (String.length body)
+        (Serve.Session.bytes_read s);
+      let tail = String.length body - 1 - String.rindex body '\n' in
+      Alcotest.(check bool) (Printf.sprintf "chunk %d holds the unterminated line" chunk) true
+        (Serve.Session.live_bytes s >= tail);
+      Alcotest.(check bool) (Printf.sprintf "chunk %d flush" chunk) true (Serve.Session.flush_partial s = Ok ());
+      let evs = drain_events s in
+      Alcotest.(check int) (Printf.sprintf "chunk %d event count" chunk) (List.length expected) (List.length evs);
+      List.iteri
+        (fun i (a, b) ->
+          if a <> b then
+            Alcotest.failf "chunk %d event %d: %s <> %s" chunk i (Trace_io.event_to_line a) (Trace_io.event_to_line b))
+        (List.combine expected evs);
+      Alcotest.(check int) (Printf.sprintf "chunk %d drained" chunk) 0 (Serve.Session.live_bytes s))
+    [ 1; 7; 4096 ];
+  (* A strict session stops at the first bad line whatever the chunking:
+     same message, same events before it, nothing after it. *)
+  let bad = String.concat "\n" [ "store 1 0 8"; "fence 1"; "zap!"; "store 1 64 8"; "" ] in
+  List.iter
+    (fun chunk ->
+      let s = mk_session () in
+      Alcotest.(check (result unit string))
+        (Printf.sprintf "chunk %d strict stop" chunk)
+        (Error "line 3: cannot parse event \"zap!\"")
+        (feed_string ~chunk s bad);
+      Alcotest.(check int) (Printf.sprintf "chunk %d events before the bad line" chunk) 2
+        (Serve.Session.pending_events s))
+    [ 1; 7; 4096 ]
 
 let test_session_strict_error_position () =
   let s = mk_session () in
@@ -360,6 +403,8 @@ let test_pool_inline_roundtrip () =
   | Some report ->
       Alcotest.(check bool) "found the planted bugs" true (List.length report.Bug.bugs >= 2);
       Alcotest.(check bool) "no failure" true (report.Bug.failure = None));
+  Alcotest.(check bool) "no recording without ~flightrec" true
+    (List.for_all (fun (_, r) -> not (Obs.Flightrec.is_on r)) (Serve.Pool.flightrec_rings pool));
   Serve.Pool.stop pool
 
 let test_pool_inline_detector_failure () =
@@ -407,16 +452,8 @@ let offline_report body =
   | Error e -> Alcotest.fail ("offline parse failed: " ^ e)
   | Ok trace -> Recorder.replay trace (D.sink (D.create ~model:D.Strict ()))
 
-let start_daemon ?(idle_timeout = 0.5) ?(workers = 2) ?(stream_interval = 1.0) ?flightrec_dir ~metrics socket =
-  let cfg =
-    {
-      (Serve.Daemon.default_config ~socket) with
-      Serve.Daemon.workers;
-      idle_timeout;
-      stream_interval;
-      flightrec_dir;
-    }
-  in
+let start_daemon ?(idle_timeout = 0.5) ?(workers = 2) ?(stream_interval = 1.0) ~metrics socket =
+  let cfg = { (Serve.Daemon.default_config ~socket) with Serve.Daemon.workers; idle_timeout; stream_interval } in
   let daemon =
     Serve.Daemon.create ~metrics ~make_sink:(fun ~heatmap -> D.sink (D.create ~model:D.Strict ~heatmap ())) cfg
   in
@@ -556,19 +593,20 @@ let test_client_reads_reply_after_early_close () =
   Domain.join handle
 
 let temp_dir () =
-  let d = Filename.temp_file "pmdb-flightrec" "" in
+  let d = Filename.temp_file "pmdb-trace" "" in
   Sys.remove d;
   Unix.mkdir d 0o700;
   d
 
 (* A session whose detector raises mid-stream is quarantined with a
-   detector-error frame; its sibling on the same daemon is unharmed.
-   The flight recorder (always on — the byte-identical report checks
-   above already run with it recording) must leave a black-box dump
-   naming the failing session. *)
+   detector-error frame; its sibling on the same daemon is unharmed and
+   byte-identical to an offline replay, with the flight recorder on
+   (the daemon records only when it has a dump directory). The dump
+   directory must then hold exactly two black-box dumps: the
+   quarantine, naming the failing session, and the shutdown. *)
 let test_gate_detector_quarantine_isolated () =
   let socket = temp_socket () in
-  let dumpdir = temp_dir () in
+  let tracedir = temp_dir () in
   let metrics = Obs.Metrics.create () in
   let calls = Atomic.make 0 in
   let cfg =
@@ -576,7 +614,7 @@ let test_gate_detector_quarantine_isolated () =
       (Serve.Daemon.default_config ~socket) with
       Serve.Daemon.workers = 2;
       idle_timeout = 5.0;
-      flightrec_dir = Some dumpdir;
+      trace_out = Some tracedir;
     }
   in
   (* Session ids are assigned in accept order starting at 1; worker =
@@ -607,35 +645,33 @@ let test_gate_detector_quarantine_isolated () =
         (frame.Serve.Wire.status = Serve.Status.Detector_error));
   (match Serve.Client.replay_string ~socket ~name:"bystander" trace_body with
   | Error e -> Alcotest.fail ("bystander client: " ^ e)
-  | Ok frame ->
-      Alcotest.(check bool) "sibling session unaffected" true (frame.Serve.Wire.status = Serve.Status.Ok));
+  | Ok frame -> (
+      Alcotest.(check bool) "sibling session unaffected" true (frame.Serve.Wire.status = Serve.Status.Ok);
+      match frame.Serve.Wire.report with
+      | None -> Alcotest.fail "bystander got no report"
+      | Some r ->
+          Alcotest.(check string) "bystander byte-identical to offline replay while recording"
+            (canon (offline_report trace_body)) (canon r)));
   (match Serve.Client.stop ~socket with Ok () -> () | Error e -> Alcotest.fail ("stop: " ^ e));
   Domain.join handle;
-  (* The black box: the quarantine left a dump naming the failing
-     session, with recorded entries, plus a Perfetto twin. *)
-  let json_path = Filename.concat dumpdir "flightrec-doomed-detector-quarantine-0.json" in
-  Alcotest.(check bool) "dump written" true (Sys.file_exists json_path);
-  (match Obs.Json.of_file json_path with
-  | Error e -> Alcotest.fail ("dump unreadable: " ^ e)
-  | Ok doc ->
-      (match Obs.Flightrec.validate_json doc with
-      | Error e -> Alcotest.fail ("dump malformed: " ^ e)
-      | Ok entries -> Alcotest.(check bool) "dump non-empty" true (entries > 0));
-      let meta_str field =
-        Option.bind (Obs.Json.member "meta" doc) (fun m ->
-            Option.bind (Obs.Json.member field m) Obs.Json.to_str)
-      in
-      Alcotest.(check (option string)) "dump names the failing session" (Some "doomed")
-        (meta_str "session");
-      Alcotest.(check (option string)) "dump carries the reason" (Some "detector-quarantine")
-        (meta_str "reason"));
-  let perfetto_path = Filename.concat dumpdir "flightrec-doomed-detector-quarantine-0.perfetto.json" in
-  (match Obs.Json.of_file perfetto_path with
-  | Error e -> Alcotest.fail ("perfetto dump unreadable: " ^ e)
-  | Ok doc -> (
-      match Obs.Perfetto.validate_json doc with
-      | Error e -> Alcotest.fail ("perfetto dump malformed: " ^ e)
-      | Ok n -> Alcotest.(check bool) "perfetto dump non-empty" true (n > 0)))
+  Alcotest.(check (list string)) "one dump per dump event, nothing else"
+    [ "trace-daemon-shutdown-1.perfetto.json"; "trace-doomed-detector-quarantine-0.perfetto.json" ]
+    (List.sort compare (Array.to_list (Sys.readdir tracedir)));
+  let check_dump file ~session ~reason =
+    match Obs.Json.of_file (Filename.concat tracedir file) with
+    | Error e -> Alcotest.fail (file ^ " unreadable: " ^ e)
+    | Ok doc ->
+        (match Obs.Perfetto.validate_json doc with
+        | Error e -> Alcotest.fail (file ^ " malformed: " ^ e)
+        | Ok n -> Alcotest.(check bool) (file ^ " non-empty") true (n > 0));
+        let meta field =
+          Option.bind (Obs.Json.member "metadata" doc) (fun m -> Option.bind (Obs.Json.member field m) Obs.Json.to_str)
+        in
+        Alcotest.(check (option string)) (file ^ " names the session") (Some session) (meta "session");
+        Alcotest.(check (option string)) (file ^ " carries the reason") (Some reason) (meta "reason")
+  in
+  check_dump "trace-doomed-detector-quarantine-0.perfetto.json" ~session:"doomed" ~reason:"detector-quarantine";
+  check_dump "trace-daemon-shutdown-1.perfetto.json" ~session:"daemon" ~reason:"shutdown"
 
 (* ---------------------------------------------------------------- *)
 (* stats_stream: live merged-snapshot frames                          *)
@@ -645,9 +681,6 @@ let test_gate_detector_quarantine_isolated () =
 (* Wake-ups: neither a full ring nor a finished report waits for the  *)
 (* select tick.                                                        *)
 (* ---------------------------------------------------------------- *)
-
-let memcached_trace n =
-  Recorder.record (fun e -> Workloads.Memcached.spec.Workloads.Workload.run (Workloads.Workload.params ~n ()) e)
 
 let wait_until ~what cond =
   let deadline = Unix.gettimeofday () +. 5.0 in
@@ -797,21 +830,13 @@ let test_stats_stream_follow () =
   Domain.join handle
 
 (* The observability verbs end to end: a daemon with the heatmap on
-   and a trace-out directory serves the merged hot-line table over the
-   wire, observes session end-to-end latency, and leaves a valid
-   causal Perfetto dump at shutdown. *)
-let test_heatmap_verb_and_shutdown_trace () =
+   serves the merged hot-line table over the wire and observes session
+   end-to-end latency. *)
+let test_heatmap_verb_and_e2e_latency () =
   let socket = temp_socket () in
-  let tracedir = temp_dir () in
   let metrics = Obs.Metrics.create () in
   let cfg =
-    {
-      (Serve.Daemon.default_config ~socket) with
-      Serve.Daemon.workers = 2;
-      idle_timeout = 5.0;
-      heatmap_cap = 64;
-      trace_out = Some tracedir;
-    }
+    { (Serve.Daemon.default_config ~socket) with Serve.Daemon.workers = 2; idle_timeout = 5.0; heatmap_cap = 64 }
   in
   let daemon =
     Serve.Daemon.create ~metrics ~make_sink:(fun ~heatmap -> D.sink (D.create ~model:D.Strict ~heatmap ())) cfg
@@ -846,18 +871,7 @@ let test_heatmap_verb_and_shutdown_trace () =
       | Some (Obs.Metrics.V_hist h) -> Alcotest.(check int) "one e2e observation" 1 h.Obs.Metrics.h_count
       | _ -> Alcotest.fail "serve_session_e2e_seconds histogram missing"));
   (match Serve.Client.stop ~socket with Ok () -> () | Error e -> Alcotest.fail ("stop: " ^ e));
-  Domain.join handle;
-  (* Shutdown leaves one merged causal trace, and it validates. *)
-  let dumps = Sys.readdir tracedir |> Array.to_list |> List.filter (fun f -> Filename.check_suffix f ".json") in
-  (match dumps with
-  | [ f ] -> (
-      match Obs.Json.of_file (Filename.concat tracedir f) with
-      | Error e -> Alcotest.fail ("trace dump unreadable: " ^ e)
-      | Ok doc -> (
-          match Obs.Perfetto.validate_json doc with
-          | Ok n -> Alcotest.(check bool) (Printf.sprintf "%d trace events" n) true (n > 0)
-          | Error e -> Alcotest.fail ("trace dump invalid: " ^ e)))
-  | files -> Alcotest.fail (Printf.sprintf "expected one shutdown dump, found %d" (List.length files)))
+  Domain.join handle
 
 (* ---------------------------------------------------------------- *)
 (* Protocol fuzz: whatever bytes arrive, the daemon answers every      *)
@@ -960,7 +974,7 @@ let suite =
     Alcotest.test_case "pool wakes the dispatcher on drain" `Quick test_pool_wakes_on_drain;
     Alcotest.test_case "daemon wakes on drain and result, not on the tick" `Quick test_daemon_wakes_not_ticks;
     Alcotest.test_case "stats_stream follow" `Quick test_stats_stream_follow;
-    Alcotest.test_case "heatmap verb and shutdown trace" `Quick test_heatmap_verb_and_shutdown_trace;
+    Alcotest.test_case "heatmap verb and e2e latency" `Quick test_heatmap_verb_and_e2e_latency;
     Alcotest.test_case "protocol fuzz" `Quick test_fuzz_protocol;
     Alcotest.test_case "daemon survives an early close" `Quick test_client_closes_before_result;
     Alcotest.test_case "client reads early-close reply" `Quick test_client_reads_reply_after_early_close;

@@ -13,11 +13,13 @@ let canon (r : Bug.report) =
   Bug.render_canonical { r with Bug.bugs = List.sort Bug.compare_canonical r.Bug.bugs }
 
 let replay_plain ?mode ?backend ?(model = D.Strict) trace =
-  Recorder.replay trace (D.sink (D.create ~model ?mode ?backend ()))
+  let backend = match backend with Some b -> b | None -> Pmdebugger.Space.backend ?mode () in
+  Recorder.replay trace (D.sink (D.create ~model ~backend ()))
 
 let replay_sharded ?mode ?(model = D.Strict) ?(domains = false) ~shards trace =
   Recorder.replay trace
-    (Shard_router.sink ~shards ~domains (fun _ -> D.worker (D.create ~model ?mode ~walk_dedup:false ())))
+    (Shard_router.sink ~shards ~domains (fun _ ->
+         D.worker (D.create ~model ~backend:(Pmdebugger.Space.backend ?mode ()) ~walk_dedup:false ())))
 
 (* ---------------------------------------------------------------- *)
 (* Frame_ring: the batched transport                                 *)
