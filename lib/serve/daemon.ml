@@ -285,10 +285,16 @@ let begin_finish t conn session slot ~drop =
   record t ~cat:"session" ~name:"drain" ~a:(Session.id session) ~b:0;
   conn.kind <- Finishing (session, slot)
 
+(* [synthesized_end] tells the client its trace was truncated, so it is
+   set only for a stream that ran to client EOF: an evicted, timed-out
+   or quarantined session also gets an end appended, but its file may
+   well have been complete. *)
 let session_result_frame session (report : Bug.report option) =
   let events = match report with Some r -> r.Bug.events_processed | None -> Session.events_delivered session in
-  Wire.result_frame ~events ~skipped:(Session.skipped session) ~synthesized_end:(Session.synthesized_end session)
-    ?error:(Session.error session) ?report (Session.status session)
+  let status = Session.status session in
+  Wire.result_frame ~events ~skipped:(Session.skipped session)
+    ~synthesized_end:(Session.synthesized_end session && status = Status.Ok)
+    ?error:(Session.error session) ?report status
 
 (* {2 Hello handling} *)
 

@@ -7,15 +7,12 @@ type t = {
   name : string;
   lenient : bool;
   created : float; (* daemon clock at accept, for submit->result latency *)
-  partial : Buffer.t;
+  scan : Trace_io.scanner;
   pending : (Event.t * int) Queue.t;
   mutable pending_bytes : int;
-  mutable lines : int;
-  mutable parsed : int;
   mutable delivered : int;
   mutable skipped : int;
   mutable bytes_read : int;
-  mutable saw_end : bool;
   mutable synthesized_end : bool;
   mutable last_activity : float;
   mutable phase : phase;
@@ -29,15 +26,12 @@ let create ~id ~name ~lenient ~now =
     name;
     lenient;
     created = now;
-    partial = Buffer.create 256;
+    scan = Trace_io.scanner ();
     pending = Queue.create ();
     pending_bytes = 0;
-    lines = 0;
-    parsed = 0;
     delivered = 0;
     skipped = 0;
     bytes_read = 0;
-    saw_end = false;
     synthesized_end = false;
     last_activity = now;
     phase = Streaming;
@@ -71,82 +65,43 @@ let created t = t.created
 
 let pending_events t = Queue.length t.pending
 
-let live_bytes t = Buffer.length t.partial + t.pending_bytes
+let live_bytes t = Trace_io.carried t.scan + t.pending_bytes
 
 (* The cost a queued event is charged against the session budget: its
-   wire length plus boxing overhead. What matters is that the charge is
+   line length plus boxing overhead. What matters is that the charge is
    proportional to the bytes the client actually sent, so a budget in
-   bytes bounds both the raw partial-line buffer and the parsed queue. *)
-let event_cost line = String.length line + 16
+   bytes bounds both the carried partial line and the parsed queue. *)
+let push t ev len =
+  let cost = len + 16 in
+  Queue.push (ev, cost) t.pending;
+  t.pending_bytes <- t.pending_bytes + cost
 
-let fail t msg =
-  t.status <- Status.Trace_error;
-  t.error <- Some msg;
-  Error msg
+(* Strict sessions fail the whole session at the first malformed line
+   with the same ["line N: ..."] message the strict file replay
+   produces; lenient sessions skip and count it, mirroring
+   [pmdb replay --lenient]. *)
+let bad t lineno msg =
+  if t.lenient then begin
+    t.skipped <- t.skipped + 1;
+    true
+  end
+  else begin
+    t.status <- Status.Trace_error;
+    t.error <- Some (Printf.sprintf "line %d: %s" lineno msg);
+    false
+  end
 
-(* Parse one complete line. Strict sessions fail the whole session at
-   the first malformed line with the same ["line N: ..."] message the
-   strict file replay produces; lenient sessions skip and count it,
-   mirroring [pmdb replay --lenient]. *)
-let accept_line t line =
-  t.lines <- t.lines + 1;
-  match Trace_io.event_of_line line with
-  | Ok None -> Ok ()
-  | Ok (Some ev) ->
-      if ev = Event.Program_end then t.saw_end <- true;
-      t.parsed <- t.parsed + 1;
-      let cost = event_cost line in
-      Queue.push (ev, cost) t.pending;
-      t.pending_bytes <- t.pending_bytes + cost;
-      Ok ()
-  | Error msg ->
-      if t.lenient then begin
-        t.skipped <- t.skipped + 1;
-        Ok ()
-      end
-      else fail t (Printf.sprintf "line %d: %s" t.lines msg)
+let result t ok = if ok then Ok () else Error (Option.value t.error ~default:"")
 
-(* The first newline in [buf] at or after [i] and before [stop], or
-   [stop]. Bounded, unlike [Bytes.index_from]: a short read into a large
-   reused buffer must not scan the stale bytes after it. *)
-let rec newline buf i stop = if i >= stop || Bytes.get buf i = '\n' then i else newline buf (i + 1) stop
-
-(* Whole segments, not bytes: each newline ends a line, parsed straight
-   from the chunk unless a partial line from an earlier chunk is
-   pending; the unterminated tail waits in [partial]. A strict failure
-   stops the split, so bytes after the bad line are dropped. *)
+(* The trace scanner decodes complete lines straight from the chunk and
+   carries the unterminated tail. A strict failure stops the scan, so
+   bytes after the bad line are dropped. *)
 let feed t ~now buf ~off ~len =
   t.last_activity <- now;
   t.bytes_read <- t.bytes_read + len;
-  let stop = off + len in
-  let rec go i =
-    let j = newline buf i stop in
-    if j = stop then begin
-      Buffer.add_subbytes t.partial buf i (stop - i);
-      Ok ()
-    end
-    else begin
-      let line =
-        if Buffer.length t.partial = 0 then Bytes.sub_string buf i (j - i)
-        else begin
-          Buffer.add_subbytes t.partial buf i (j - i);
-          let line = Buffer.contents t.partial in
-          Buffer.clear t.partial;
-          line
-        end
-      in
-      match accept_line t line with Ok () -> go (j + 1) | Error _ as e -> e
-    end
-  in
-  go off
+  result t (Trace_io.scan t.scan buf ~off ~len ~f:(push t) ~bad:(bad t))
 
-let flush_partial t =
-  if Buffer.length t.partial = 0 then Ok ()
-  else begin
-    let line = Buffer.contents t.partial in
-    Buffer.clear t.partial;
-    accept_line t line
-  end
+let flush_partial t = result t (Trace_io.finish t.scan ~f:(push t) ~bad:(bad t))
 
 let peek_pending t = match Queue.peek_opt t.pending with None -> None | Some (ev, _) -> Some ev
 
@@ -161,11 +116,10 @@ let pop_pending t =
 let drop_pending t =
   Queue.clear t.pending;
   t.pending_bytes <- 0;
-  Buffer.clear t.partial
+  Trace_io.drop_carried t.scan
 
 let ensure_end t =
-  if not t.saw_end then begin
-    t.saw_end <- true;
+  if not (t.synthesized_end || Trace_io.ended t.scan) then begin
     t.synthesized_end <- true;
     Queue.push (Event.Program_end, 0) t.pending
   end

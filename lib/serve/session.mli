@@ -11,11 +11,12 @@
     v}
 
     The daemon owns the transitions; this module owns the data: the
-    partial-line buffer, the bounded pending queue of parsed events and
-    the byte accounting that the backpressure ladder and the memory
-    budget read ({!live_bytes} = partial bytes + queued-event cost, so
-    a budget in bytes bounds a client sending one enormous line just as
-    well as one outrunning its worker). *)
+    session's {!Trace_io.scanner} (whose carry holds the partial line),
+    the bounded pending queue of parsed events and the byte accounting
+    that the backpressure ladder and the memory budget read
+    ({!live_bytes} = carried bytes + queued-event cost, so a budget in
+    bytes bounds a client sending one enormous line just as well as one
+    outrunning its worker). *)
 
 open Pmtrace
 
@@ -39,12 +40,14 @@ val terminate : t -> Status.t -> string option -> unit
     session already quarantined keeps its original status). *)
 
 val feed : t -> now:float -> Bytes.t -> off:int -> len:int -> (unit, string) result
-(** Split the chunk into newline-framed lines and parse each with
-    {!Trace_io.event_of_line}. Chunk boundaries are invisible: feeding
-    byte-by-byte parses identically to feeding everything at once.
-    Strict sessions return [Error "line N: ..."] at the first malformed
-    line (and set the status to [Trace_error]); lenient sessions skip
-    and count it. *)
+(** Decode the chunk with {!Trace_io.scan}, the scanner offline replay
+    uses: complete lines are read in place, and only the unterminated
+    tail is copied into the scanner's carry. Each event is queued at a
+    cost of its line length + 16 bytes. Chunk boundaries are invisible:
+    feeding byte-by-byte parses identically to feeding everything at
+    once. Strict sessions return [Error "line N: ..."] at the first
+    malformed line (and set the status to [Trace_error]); lenient
+    sessions skip and count it. *)
 
 val flush_partial : t -> (unit, string) result
 (** Parse the final unterminated line, if any (called at client EOF,
@@ -62,16 +65,17 @@ val pop_pending : t -> Event.t option
 val pending_events : t -> int
 
 val drop_pending : t -> unit
-(** Discard undelivered events and the partial line (eviction path). *)
+(** Discard undelivered events and the carried partial line (eviction
+    path). *)
 
 val ensure_end : t -> unit
-(** Queue a synthesized [Program_end] unless the stream already carried
-    one, so end-of-trace rules fire for truncated sessions — the same
-    semantics as lenient replay. *)
+(** Queue a synthesized [Program_end] unless the last event the stream
+    carried was one, so end-of-trace rules fire for truncated sessions
+    — the same semantics as lenient replay. *)
 
 val live_bytes : t -> int
-(** Bytes this session holds in the daemon: partial line + pending
-    queue cost. The per-session budget gates on this. *)
+(** Bytes this session holds in the daemon: carried partial line +
+    pending queue cost. The per-session budget gates on this. *)
 
 val events_delivered : t -> int
 val skipped : t -> int

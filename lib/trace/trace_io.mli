@@ -57,7 +57,7 @@ val save : string -> Recorder.trace -> unit
     byte-identical cross-platform. *)
 
 val load : string -> (Recorder.trace, string) result
-(** Strict parse of a trace file into an array. Reads one line at a
+(** Strict parse of a trace file into an array. Reads 64 KiB at a
     time (never the whole file into a string); I/O failures are
     reported as [Error] and never leak the input channel. *)
 
@@ -67,15 +67,62 @@ val load_lenient : ?metrics:Obs.Metrics.t -> ?synthesize_end:bool -> string -> (
 
 (** {1 Streaming}
 
-    The [*_file] functions below parse line-by-line and hand each event
-    to a callback without ever materializing the trace: memory use is
-    bounded by the longest line, not the trace length, so multi-GB
-    traces replay in constant memory. They share the line parser — and,
-    for the lenient variants, the skip-and-report plus
-    synthesize-[program_end] semantics and per-line error positions —
-    with {!of_string} / {!of_string_lenient}. Materialize (via {!load}
-    / {!load_lenient}) only when random access over the event sequence
-    is genuinely required, e.g. crash-point prefix replay. *)
+    Every reader here is one chunk scanner. It decodes lines where they
+    lie in a [Bytes] chunk and builds no per-line string: canonical
+    lines of the five hot kinds ([store], [clf <kind>], [fence],
+    [epoch_begin], [epoch_end] with single spaces and plain 1-18 digit
+    decimals) are read field by field, and every other line (rare
+    kinds, hex or [_] ints, CRLF, extra blanks, comments, garbage) goes
+    to {!event_of_line} on a copy, so trimming, error text and
+    [line N:] positions have one implementation. Files are read in
+    64 KiB blocks, strings in one piece, and daemon sessions
+    ([Serve.Session.feed]) chunk by chunk; only a line cut by a chunk
+    boundary is copied, into the scanner's carry.
+
+    The [*_file] functions hand each event to a callback without ever
+    materializing the trace: memory use is bounded by the longest line,
+    not the trace length, so multi-GB traces replay in constant memory.
+    They share the skip-and-report, synthesize-[program_end] and
+    per-line error-position semantics with {!of_string} /
+    {!of_string_lenient}. Materialize (via {!load} / {!load_lenient})
+    only when random access over the event sequence is genuinely
+    required, e.g. crash-point prefix replay. *)
+
+type scanner
+(** A scanner's state between chunks: the unterminated line so far
+    (the carry), the line count, and whether the last event decoded
+    was [program_end]. *)
+
+val scanner : unit -> scanner
+
+val scan :
+  scanner ->
+  Bytes.t ->
+  off:int ->
+  len:int ->
+  f:(Event.t -> int -> unit) ->
+  bad:(int -> string -> bool) ->
+  bool
+(** [scan sc buf ~off ~len ~f ~bad] decodes every line that ends in
+    [buf.[off, off + len)], the carry completing the first, and keeps
+    the unterminated tail in the carry. [f ev n] gets each event with
+    the length [n] of its line. [bad lineno msg] gets each malformed
+    line with its 1-based number and the {!event_of_line} error; it
+    returns [false] to stop, in which case [scan] returns [false] and
+    drops the rest of the chunk. Chunk boundaries are invisible:
+    feeding byte by byte decodes exactly what one call would. *)
+
+val finish : scanner -> f:(Event.t -> int -> unit) -> bad:(int -> string -> bool) -> bool
+(** Decode the carried final line, if any: a trace need not end in a
+    newline. Same callbacks and result as {!scan}. *)
+
+val carried : scanner -> int
+(** Bytes held in the carry. *)
+
+val drop_carried : scanner -> unit
+
+val ended : scanner -> bool
+(** The last event decoded was [program_end]. *)
 
 type stream_stats = {
   events : int;  (** events delivered to [f], including a synthesized end *)
@@ -122,5 +169,7 @@ val save_stream : string -> ((Event.t -> unit) -> unit) -> int
 (** [save_stream path produce] opens [path] (binary mode), hands
     [produce] an emit function that appends one line per event, and
     closes the file on every exit path. Returns the number of events
-    written. The streaming dual of {!save}: nothing is buffered, so an
-    arbitrarily long run can be recorded in constant memory. *)
+    written. The streaming dual of {!save}: lines go out in 64 KiB
+    blocks, so an arbitrarily long run is recorded in constant memory.
+    The hot kinds are written by a digit writer, not [Printf]; the
+    bytes equal {!event_to_line}'s. *)

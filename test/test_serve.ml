@@ -452,8 +452,9 @@ let offline_report body =
   | Error e -> Alcotest.fail ("offline parse failed: " ^ e)
   | Ok trace -> Recorder.replay trace (D.sink (D.create ~model:D.Strict ()))
 
-let start_daemon ?(idle_timeout = 0.5) ?(workers = 2) ?(stream_interval = 1.0) ~metrics socket =
+let start_daemon ?(idle_timeout = 0.5) ?(workers = 2) ?(stream_interval = 1.0) ?session_budget ~metrics socket =
   let cfg = { (Serve.Daemon.default_config ~socket) with Serve.Daemon.workers; idle_timeout; stream_interval } in
+  let cfg = match session_budget with Some b -> { cfg with Serve.Daemon.session_budget = b } | None -> cfg in
   let daemon =
     Serve.Daemon.create ~metrics ~make_sink:(fun ~heatmap -> D.sink (D.create ~model:D.Strict ~heatmap ())) cfg
   in
@@ -542,6 +543,29 @@ let test_gate_eight_clients_two_misbehaving () =
   | Error e -> Alcotest.fail ("stop: " ^ e));
   Domain.join handle;
   Alcotest.(check bool) "socket unlinked on shutdown" false (Sys.file_exists socket)
+
+(* [synthesized_end] in a result frame means "your trace was
+   truncated". An evicted session gets an end appended too, but its
+   client sent a complete trace, so its frame must not say so; a trace
+   that really stops short at EOF still does. The complete trace spans
+   many socket reads, so the eviction lands before its program_end. *)
+let test_synthesized_end_only_at_eof () =
+  let socket = temp_socket () in
+  let metrics = Obs.Metrics.create () in
+  let handle = start_daemon ~session_budget:2000 ~metrics socket in
+  let complete = String.concat "" (List.init 20_000 (Printf.sprintf "store 1 %d 8\n")) ^ "program_end\n" in
+  (match Serve.Client.replay_string ~socket ~name:"over-budget" complete with
+  | Error e -> Alcotest.fail e
+  | Ok frame ->
+      Alcotest.(check string) "evicted" "evicted" (Serve.Status.name frame.Serve.Wire.status);
+      Alcotest.(check bool) "evicted frame: no synthesized end" false frame.Serve.Wire.synthesized_end);
+  (match Serve.Client.replay_string ~socket ~name:"unterminated" "store 1 0 8\nfence 1" with
+  | Error e -> Alcotest.fail e
+  | Ok frame ->
+      Alcotest.(check string) "ok" "ok" (Serve.Status.name frame.Serve.Wire.status);
+      Alcotest.(check bool) "truncated at EOF: synthesized end" true frame.Serve.Wire.synthesized_end);
+  (match Serve.Client.stop ~socket with Ok () -> () | Error e -> Alcotest.fail ("stop: " ^ e));
+  Domain.join handle
 
 (* A client that half-closes and then closes without reading its
    result: the daemon's reply hits a closed peer. The daemon must drop
@@ -978,4 +1002,5 @@ let suite =
     Alcotest.test_case "protocol fuzz" `Quick test_fuzz_protocol;
     Alcotest.test_case "daemon survives an early close" `Quick test_client_closes_before_result;
     Alcotest.test_case "client reads early-close reply" `Quick test_client_reads_reply_after_early_close;
+    Alcotest.test_case "synthesized_end only for a stream cut at EOF" `Quick test_synthesized_end_only_at_eof;
   ]

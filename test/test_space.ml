@@ -286,6 +286,29 @@ let test_detector_create_allocates_little () =
     (Printf.sprintf "Detector.create allocates %.0f minor words < 10_000" words)
     true (words < 10_000.)
 
+(* The trace scanner builds no per-line string: reading a canonical
+   b_tree trace file costs the events themselves plus the rare lines
+   (tx_log, register_pmem) that go through event_of_line. Counted on a
+   file so the 64 KiB block reads and the carry across them count too. *)
+let test_scanner_allocates_little () =
+  let open Pmtrace in
+  let trace =
+    Recorder.record (fun e -> Workloads.Btree.spec.Workloads.Workload.run (Workloads.Workload.params ~n:1000 ()) e)
+  in
+  let path = Filename.temp_file "pmdebugger-alloc" ".pmt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Trace_io.save path trace;
+  let n = ref 0 in
+  let before = Gc.minor_words () in
+  let r = Trace_io.iter_file_strict path ~f:(fun _ -> incr n) in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "scan ok" true (r = Ok ());
+  Alcotest.(check int) "every event" (Array.length trace) !n;
+  let per_event = words /. float_of_int !n in
+  Alcotest.(check bool)
+    (Printf.sprintf "scanner allocates %.2f minor words per event <= 8" per_event)
+    true (per_event <= 8.)
+
 let suite =
   [
     Alcotest.test_case "store/flush/fence lifecycle" `Quick test_store_then_flush_then_fence;
@@ -303,6 +326,7 @@ let suite =
     Alcotest.test_case "collective CLF skips invalidated slots" `Quick test_collective_clf_counts_valid_slots_only;
     Alcotest.test_case "superseded tree registrations purged" `Quick test_superseded_tree_registrations_purged;
     Alcotest.test_case "detector create allocates little" `Quick test_detector_create_allocates_little;
+    Alcotest.test_case "trace scanner allocates little" `Quick test_scanner_allocates_little;
     QCheck_alcotest.to_alcotest prop_matches_byte_model;
     QCheck_alcotest.to_alcotest prop_modes_equivalent;
     QCheck_alcotest.to_alcotest prop_modes_observations_equivalent;
